@@ -1,8 +1,11 @@
 //! # graql-bench
 //!
-//! Shared fixtures for the Criterion benchmark harness. Each bench target
-//! regenerates one experiment of EXPERIMENTS.md; run them all with
-//! `cargo bench --workspace` (or a single one with `-p graql-bench --bench <name>`).
+//! Shared fixtures for the Criterion targets. Each one sweeps a design
+//! parameter the end-to-end benchmark (`benchmark/`, `BENCHMARK.json`)
+//! holds at its default, and regenerates one EXPERIMENTS.md Part 2 table;
+//! run them all with `cargo bench -p graql-bench` (or one with
+//! `--bench <name>`). Anything that times a fixed configuration belongs
+//! in `benchmark/`, not here.
 
 use graql_bsbm::Scale;
 use graql_core::Database;

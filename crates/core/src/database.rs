@@ -3,7 +3,8 @@
 //!
 //! Mirrors the paper's GEMS structure in-process: the catalog plays the
 //! front-end server's metadata repository; the storage/graph pair is the
-//! backend's in-memory data; `graql-cluster` adds the multi-node version.
+//! backend's in-memory data; `graql::cluster` profiles what a path query
+//! would ship between nodes if that data were hash-partitioned.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -135,8 +136,8 @@ impl Database {
         self.storage.get(name).map(|t| t.as_ref())
     }
 
-    /// The table storage (for backends layered on this database, e.g. the
-    /// simulated cluster).
+    /// The table storage (for callers that drive `exec` directly, e.g.
+    /// `graql::cluster::comm_profile`).
     pub fn storage(&self) -> &Storage {
         &self.storage
     }

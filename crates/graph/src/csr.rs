@@ -85,7 +85,8 @@ impl Csr {
         b - a
     }
 
-    /// Maximum degree over all sources (parallel reduction).
+    /// Maximum degree over all sources (a sequential reduction: the
+    /// `rayon` stand-in under `shims/` runs `into_par_iter` on one thread).
     pub fn max_degree(&self) -> usize {
         (0..self.n_src() as u32)
             .into_par_iter()

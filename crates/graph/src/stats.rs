@@ -62,8 +62,9 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Computes statistics for every type (edge types in parallel — degree
-    /// scans are the expensive part).
+    /// Computes statistics for every type, one edge type after another:
+    /// the `rayon` stand-in under `shims/` runs `par_iter` on one thread.
+    /// Degree scans are the expensive part.
     pub fn compute(g: &Graph) -> GraphStats {
         let vertices = g
             .vtype_ids()

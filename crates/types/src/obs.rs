@@ -236,7 +236,7 @@ struct StageSlot {
 
 /// Per-query span recorder, shared by reference with every exec kernel.
 ///
-/// All slots are relaxed atomics so parallel kernels (rayon joins, the
+/// All slots are relaxed atomics so parallel kernels (morsel workers, the
 /// pipelined scheduler) can record concurrently; per-stage numbers are
 /// therefore *cumulative wall time inside that stage*, which can exceed
 /// elapsed wall clock under parallelism.

@@ -1,13 +1,13 @@
-//! The simulated GEMS backend cluster (paper §III): runs the Berlin Q2
-//! graph phase across increasing node counts and prints the communication
-//! profile — the distribution cost the paper's in-memory cluster design
+//! The GEMS backend cluster (paper §III): profiles the Berlin Q2 graph
+//! phase across increasing node counts and prints the communication
+//! volume — the distribution cost the paper's in-memory cluster design
 //! reasons about.
 //!
 //! ```sh
 //! cargo run --release --example cluster [-- <products>]
 //! ```
 
-use graql::cluster::Cluster;
+use graql::cluster::comm_profile;
 use graql::parser::ast::{PathComposition, SelectSource, Stmt};
 use graql::prelude::*;
 
@@ -42,8 +42,7 @@ fn main() -> Result<()> {
     );
     println!("{}", "-".repeat(70));
     for nodes in [1usize, 2, 4, 8, 16] {
-        let cluster = Cluster::new(&db, nodes)?;
-        let result = graql::cluster::run_path_query(&cluster, &db, &path)?;
+        let result = comm_profile(&db, &path, nodes)?;
         println!(
             "{:>5} | {:>9} | {:>10} | {:>8} | {:>9} | {:>12.3}",
             nodes,
@@ -55,35 +54,6 @@ fn main() -> Result<()> {
         );
     }
 
-    println!("\nEvery node count returns identical bindings (verified in the test suite);");
-    println!("the remote ratio approaches (n-1)/n as the hash partition spreads vertices.");
-
-    // Distributed tabular aggregation, same story.
-    let offers = db.table("Offers").unwrap();
-    let vendor_col = offers.schema().index_of("vendor").unwrap();
-    let price_col = offers.schema().index_of("price").unwrap();
-    let local = graql::table::ops::group_aggregate(
-        offers,
-        &[vendor_col],
-        &[graql::table::ops::AggSpec::new(
-            graql::table::ops::AggFn::Avg(price_col),
-            "avg_price",
-        )],
-    )?;
-    let distributed = graql::cluster::distributed_group_aggregate(
-        offers,
-        &[vendor_col],
-        &[graql::table::ops::AggSpec::new(
-            graql::table::ops::AggFn::Avg(price_col),
-            "avg_price",
-        )],
-        4,
-    )?;
-    println!(
-        "\nDistributed group-by over {} offers on 4 nodes: {} groups (single-node kernel: {})",
-        offers.n_rows(),
-        distributed.n_rows(),
-        local.n_rows()
-    );
+    println!("\nThe remote ratio approaches (n-1)/n as the hash partition spreads vertices.");
     Ok(())
 }

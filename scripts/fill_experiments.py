@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Inserts measured Criterion results into EXPERIMENTS.md.
 
-Parses bench_output.txt (the `cargo bench --workspace` transcript) and
+Parses bench_output.txt (the `cargo bench -p graql-bench` transcript) and
 replaces each `<!--BENCH:group-->` marker with a markdown table of the
-group's median times, plus any `group/…:`-prefixed info lines the bench
-printed (e.g. the cluster communication profile).
+group's median times.
 
 Usage: python3 scripts/fill_experiments.py [bench_output.txt] [EXPERIMENTS.md]
 """
@@ -15,8 +14,6 @@ import sys
 
 def parse(bench_path):
     groups = {}   # group -> list of (bench id, low, mid, high)
-    info = {}     # group -> list of info lines
-    current = None
     text = open(bench_path, encoding="utf-8").read()
     # Criterion emits "group/name[/param]\n  time: [lo mid hi]".
     # Criterion puts short ids and their time on one line, longer ids on
@@ -28,17 +25,7 @@ def parse(bench_path):
     for m in pat.finditer(text):
         group, bench = m.group(1), m.group(2)
         groups.setdefault(group, []).append((bench, m.group(3), m.group(4), m.group(5)))
-        current = group
-    del current
-    # Info lines like "cluster_scaling/8 nodes: …" or "ir_codec: …".
-    for line in text.splitlines():
-        m = re.match(r"^([a-z_]+)(?:/|: )(.*)$", line)
-        if m and m.group(1) in (
-            "cluster_scaling",
-            "ir_codec",
-        ) and ("nodes:" in line or "source" in line):
-            info.setdefault(m.group(1), []).append(line.strip())
-    return groups, info
+    return groups
 
 
 def table(rows):
@@ -51,17 +38,14 @@ def table(rows):
 def main():
     bench_path = sys.argv[1] if len(sys.argv) > 1 else "bench_output.txt"
     md_path = sys.argv[2] if len(sys.argv) > 2 else "EXPERIMENTS.md"
-    groups, info = parse(bench_path)
+    groups = parse(bench_path)
     md = open(md_path, encoding="utf-8").read()
     missing = []
     for group in re.findall(r"<!--BENCH:([a-z_]+)-->", md):
         if group not in groups:
             missing.append(group)
             continue
-        block = table(groups[group])
-        if group in info:
-            block += "\n\n```\n" + "\n".join(info[group]) + "\n```"
-        md = md.replace(f"<!--BENCH:{group}-->", block)
+        md = md.replace(f"<!--BENCH:{group}-->", table(groups[group]))
     open(md_path, "w", encoding="utf-8").write(md)
     if missing:
         print(f"WARNING: no results found for: {', '.join(missing)}")

@@ -21,25 +21,12 @@ impl BenchmarkId {
             id: format!("{}/{}", function_id.into(), parameter),
         }
     }
-
-    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
-        BenchmarkId {
-            id: parameter.to_string(),
-        }
-    }
 }
 
 impl std::fmt::Display for BenchmarkId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.id)
     }
-}
-
-/// Throughput annotation (recorded, reported alongside the timing).
-#[derive(Debug, Clone, Copy)]
-pub enum Throughput {
-    Bytes(u64),
-    Elements(u64),
 }
 
 /// Top-level bench context.
@@ -53,56 +40,20 @@ impl Criterion {
         BenchmarkGroup {
             name: name.into(),
             sample_size: 10,
-            throughput: None,
             _criterion: std::marker::PhantomData,
         }
-    }
-
-    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut group = self.benchmark_group(name.to_string());
-        group.bench_function("run", f);
-        group.finish();
-        self
     }
 }
 
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
-    throughput: Option<Throughput>,
     _criterion: std::marker::PhantomData<&'a mut Criterion>,
 }
 
 impl BenchmarkGroup<'_> {
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
-        self
-    }
-
-    pub fn measurement_time(&mut self, _d: Duration) -> &mut Self {
-        self
-    }
-
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.throughput = Some(t);
-        self
-    }
-
-    pub fn bench_function<F>(&mut self, id: impl std::fmt::Display, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let mut b = Bencher {
-            samples: Vec::new(),
-            iters_per_sample: 1,
-        };
-        for _ in 0..self.sample_size {
-            f(&mut b);
-        }
-        self.report(&id.to_string(), &b);
         self
     }
 
@@ -117,63 +68,23 @@ impl BenchmarkGroup<'_> {
     {
         let mut b = Bencher {
             samples: Vec::new(),
-            iters_per_sample: 1,
         };
         for _ in 0..self.sample_size {
             f(&mut b, input);
         }
-        self.report(&id.to_string(), &b);
+        b.samples.sort_unstable();
+        if let Some(median) = b.samples.get(b.samples.len() / 2) {
+            println!("{}/{}: median {:?}", self.name, id, median);
+        }
         self
     }
 
     pub fn finish(&mut self) {}
-
-    fn report(&self, id: &str, b: &Bencher) {
-        let mut samples = b.samples.clone();
-        if samples.is_empty() {
-            return;
-        }
-        samples.sort_unstable();
-        let median = samples[samples.len() / 2];
-        let per_iter = median / b.iters_per_sample.max(1) as u32;
-        let thr = match self.throughput {
-            Some(Throughput::Bytes(n)) if per_iter.as_nanos() > 0 => {
-                let gib = n as f64 / (1u64 << 30) as f64;
-                format!("  ({:.3} GiB/s)", gib / per_iter.as_secs_f64())
-            }
-            Some(Throughput::Elements(n)) if per_iter.as_nanos() > 0 => {
-                format!("  ({:.3} Melem/s)", n as f64 / 1e6 / per_iter.as_secs_f64())
-            }
-            _ => String::new(),
-        };
-        println!("{}/{}: median {:?}{}", self.name, id, per_iter, thr);
-        // Machine-readable sink for the bench-regression lane: when
-        // `CRITERION_JSON` names a file, append one JSON line per bench.
-        if let Ok(path) = std::env::var("CRITERION_JSON") {
-            if !path.is_empty() {
-                use std::io::Write as _;
-                if let Ok(mut f) = std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(&path)
-                {
-                    let _ = writeln!(
-                        f,
-                        "{{\"bench\":\"{}/{}\",\"median_ns\":{}}}",
-                        self.name,
-                        id,
-                        per_iter.as_nanos()
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// Runs and times the measured routine.
 pub struct Bencher {
     samples: Vec<Duration>,
-    iters_per_sample: u64,
 }
 
 impl Bencher {
@@ -182,32 +93,8 @@ impl Bencher {
         black_box(f());
         let start = Instant::now();
         black_box(f());
-        self.iters_per_sample = 1;
         self.samples.push(start.elapsed());
     }
-
-    /// Batched iteration: `setup` output is consumed by `routine` and its
-    /// construction time is excluded from the sample.
-    pub fn iter_batched<I, R, S, F>(&mut self, mut setup: S, mut routine: F, _size: BatchSize)
-    where
-        S: FnMut() -> I,
-        F: FnMut(I) -> R,
-    {
-        black_box(routine(setup()));
-        let input = setup();
-        let start = Instant::now();
-        black_box(routine(input));
-        self.iters_per_sample = 1;
-        self.samples.push(start.elapsed());
-    }
-}
-
-/// Batch-size hint for `iter_batched` (ignored by the shim timer).
-#[derive(Debug, Clone, Copy)]
-pub enum BatchSize {
-    SmallInput,
-    LargeInput,
-    PerIteration,
 }
 
 /// Declares a bench group runner function.

@@ -50,12 +50,13 @@
 //! | lexer, AST, parser, printer | [`parser`] (graql-parser) |
 //! | graph views, CSR edge indexes, subgraphs | [`graph`] (graql-graph) |
 //! | catalog, analysis, IR, planner, executor, [`Database`] | [`core`] (graql-core) |
-//! | simulated GEMS cluster backend | [`cluster`] (graql-cluster) |
 //! | framed TCP wire protocol, networked server + remote client | [`net`] (graql-net) |
 //! | Berlin benchmark generator + query corpus | [`bsbm`] (graql-bsbm) |
+//! | §III communication profile of a path query on a hash-partitioned backend | [`cluster`] (this crate) |
+
+pub mod cluster;
 
 pub use graql_bsbm as bsbm;
-pub use graql_cluster as cluster;
 pub use graql_core as core;
 pub use graql_graph as graph;
 pub use graql_net as net;

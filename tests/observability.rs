@@ -1,8 +1,7 @@
 //! Observability end-to-end tests (ISSUE 5): `profile` stage reporting on
 //! the Berlin queries, the Prometheus exposition served by `gems-serve
 //! --metrics-addr`, outcome-counter accounting under governance kills and
-//! injected faults, the structured slow-query log, and the comparator of
-//! the bench-regression CI lane.
+//! injected faults, and the structured slow-query log.
 //!
 //! The networked tests reuse the governance harness shape: a real
 //! `gems-serve` child on loopback with faults armed through the
@@ -576,22 +575,4 @@ fn slow_query_log_attaches_profiles() {
     assert!(line.contains("\"profile\":{"), "{line}");
     assert!(line.contains("\"stages\":["), "{line}");
     std::fs::remove_dir_all(&dir).ok();
-}
-
-// ---------------------------------------------------------------------------
-// Bench-regression lane comparator
-// ---------------------------------------------------------------------------
-
-/// The CI perf gate is only as good as its comparator: the script's
-/// self-test proves a synthetic 2x regression fails the lane, an
-/// identical snapshot passes, and `BENCH_ALLOW_REGRESSION=1` skips.
-#[test]
-fn bench_snapshot_comparator_self_test() {
-    let status = Command::new("bash")
-        .arg("scripts/bench_snapshot.sh")
-        .arg("--self-test")
-        .current_dir(env!("CARGO_MANIFEST_DIR"))
-        .status()
-        .expect("bash runs");
-    assert!(status.success(), "bench_snapshot.sh --self-test failed");
 }

@@ -149,9 +149,10 @@ proptest! {
         }
     }
 
-    /// The simulated cluster agrees with the local engine on bindings.
+    /// Every binding of a one-hop path is exactly one extension of the
+    /// communication profile: local or a message, never both or neither.
     #[test]
-    fn cluster_matches_local(f in fixture(), nodes in 1usize..5) {
+    fn cluster_profile_counts_every_binding_once(f in fixture(), nodes in 1usize..5) {
         let mut db = build_db(&f);
         db.graph().unwrap();
         let src = format!(
@@ -164,14 +165,15 @@ proptest! {
         let graql::parser::ast::SelectSource::Graph(
             graql::parser::ast::PathComposition::Single(path),
         ) = sel.source else { unreachable!() };
-        let cluster = graql::cluster::Cluster::new(&db, nodes).unwrap();
-        let got = graql::cluster::run_path_query(&cluster, &db, &path).unwrap();
+        let got = graql::cluster::comm_profile(&db, &path, nodes).unwrap();
         let exp = f
             .ab
             .iter()
             .filter(|&&(a, b)| f.xs[a] < f.p && f.ys[b] < f.q)
             .count();
         prop_assert_eq!(got.bindings.len(), exp, "nodes={}", nodes);
+        let m = &got.metrics;
+        prop_assert_eq!((m.total_local() + m.total_messages()) as usize, exp, "nodes={}", nodes);
     }
 }
 
