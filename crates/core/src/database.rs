@@ -375,7 +375,7 @@ impl Database {
             }
             Stmt::Select(sel) => {
                 self.ensure_graph()?;
-                let out = self.execute_select_guarded(sel, guard)?;
+                let out = self.execute_select_observed(sel, guard, None)?;
                 self.register_result(sel, out)
             }
             Stmt::Profile(sel) => {
@@ -535,16 +535,7 @@ impl Database {
         let rows_before = guard.rows();
         let bytes_before = guard.bytes();
         let profile = QueryProfile::new();
-        let mut ctx = self.exec_ctx(guard)?;
-        ctx.obs = Some(&profile);
-        match &run_sel.source {
-            ast::SelectSource::Graph(_) => {
-                execute_graph_select(&ctx, run_sel)?;
-            }
-            ast::SelectSource::Table(_) => {
-                execute_table_select(&ctx, run_sel)?;
-            }
-        }
+        self.execute_select_prepared(run_sel, guard, Some(&profile))?;
         Ok(ProfileReport::seal(
             sel.to_string(),
             plan,
@@ -580,21 +571,12 @@ impl Database {
     /// fresh guard minted from the configured default budget.
     pub fn execute_select(&self, sel: &ast::SelectStmt) -> Result<QueryOutput> {
         let guard = QueryGuard::new(self.config.budget);
-        self.execute_select_guarded(sel, &guard)
+        self.execute_select_observed(sel, &guard, None)
     }
 
-    /// [`Database::execute_select`] under an externally owned guard.
-    pub fn execute_select_guarded(
-        &self,
-        sel: &ast::SelectStmt,
-        guard: &QueryGuard,
-    ) -> Result<QueryOutput> {
-        self.execute_select_observed(sel, guard, None)
-    }
-
-    /// [`Database::execute_select_guarded`] with an optional span
-    /// recorder armed (`profile`, slow-query logging). `None` keeps the
-    /// kernels on the zero-overhead path.
+    /// [`Database::execute_select`] under an externally owned guard, with
+    /// an optional span recorder armed (`profile`, slow-query logging).
+    /// `None` keeps the kernels on the zero-overhead path.
     pub fn execute_select_observed(
         &self,
         sel: &ast::SelectStmt,
@@ -609,12 +591,7 @@ impl Database {
             None
         };
         let sel = rewritten.as_ref().map(|r| &r.sel).unwrap_or(sel);
-        let mut ctx = self.exec_ctx(guard)?;
-        ctx.obs = obs;
-        match &sel.source {
-            ast::SelectSource::Graph(_) => execute_graph_select(&ctx, sel),
-            ast::SelectSource::Table(_) => Ok(QueryOutput::Table(execute_table_select(&ctx, sel)?)),
-        }
+        self.execute_select_prepared(sel, guard, obs)
     }
 
     /// [`Database::execute_select_observed`] for a statement whose

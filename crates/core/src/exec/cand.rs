@@ -4,12 +4,12 @@
 use std::collections::BTreeMap;
 
 use graql_graph::{ETypeId, VTypeId};
-use graql_table::BitSet;
+use graql_table::{morsel, BitSet};
 use graql_types::{GraqlError, Result};
 use rustc_hash::FxHashMap;
 
 use crate::compile::{CEStep, CVStep};
-use crate::exec::{morsel, ExecCtx};
+use crate::exec::ExecCtx;
 
 /// Candidate vertices of one step: a bitset per candidate type.
 ///

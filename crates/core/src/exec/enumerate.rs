@@ -9,7 +9,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use graql_graph::{ETypeId, VTypeId};
-use graql_table::BitSet;
+use graql_table::{morsel, BitSet};
 use graql_types::{GraqlError, Result, Value};
 use rustc_hash::FxHashMap;
 
@@ -18,7 +18,7 @@ use graql_parser::ast::{Dir, LabelKind};
 use crate::compile::{BOperand, BindingCond, CLink, CPath};
 use crate::exec::cand::Cand;
 use crate::exec::expand::extensions_of;
-use crate::exec::{morsel, ExecCtx};
+use crate::exec::ExecCtx;
 
 /// One concrete match of a single path.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -299,8 +299,7 @@ pub fn enumerate_path(
                     .map(|et| ctx.graph.eset(et).name.as_str())
                     .collect(),
             };
-            morsel::est_traversed_edges(
-                ctx.stats,
+            ctx.est_traversed_edges(
                 &names,
                 starts.len(),
                 matches!(estep.dir, Dir::Out) == (s1 > s0),

@@ -3,13 +3,13 @@
 
 use graql_graph::{Csr, ETypeId, VTypeId};
 use graql_parser::ast::Dir;
-use graql_table::BitSet;
+use graql_table::{morsel, BitSet};
 use graql_types::Result;
 use rustc_hash::FxHashMap;
 
 use crate::compile::CEStep;
 use crate::exec::cand::{edge_passes, Cand};
-use crate::exec::{morsel, ExecCtx};
+use crate::exec::ExecCtx;
 
 /// The edge types an edge step may use between `from_vt` (at the earlier
 /// path position) and some type in `to_dom` (at the later position), given
@@ -77,12 +77,7 @@ pub fn expand(
             .iter()
             .map(|&(et, _, _)| ctx.graph.eset(et).name.as_str())
             .collect();
-        let est = morsel::est_traversed_edges(
-            ctx.stats,
-            &names,
-            count,
-            matches!(estep.dir, Dir::Out) == forward,
-        );
+        let est = ctx.est_traversed_edges(&names, count, matches!(estep.dir, Dir::Out) == forward);
         let workers = morsel::scan_workers(ctx.config.threads, est, morsel::PAR_MIN_ITEMS);
         if workers <= 1 {
             for (et, csr, reached) in &edges {

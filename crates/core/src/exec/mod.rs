@@ -4,7 +4,6 @@ pub mod cand;
 pub mod enumerate;
 pub mod expand;
 pub mod explain;
-pub mod morsel;
 pub mod pipeline;
 pub mod query;
 pub mod regex;
@@ -12,6 +11,7 @@ pub mod relational;
 pub mod results;
 
 use graql_graph::{Graph, Subgraph, VTypeId};
+use graql_table::ops::OpCtx;
 use graql_table::Table;
 use graql_types::{GraqlError, QueryGuard, QueryProfile, Result, Value};
 use rustc_hash::FxHashMap;
@@ -44,6 +44,47 @@ pub struct ExecCtx<'a> {
 }
 
 impl<'a> ExecCtx<'a> {
+    /// The context the Table-1 kernels (`graql_table::ops`) run under:
+    /// this query's guard and span recorder, the configured thread count.
+    pub fn ops(&self) -> OpCtx<'a> {
+        OpCtx {
+            guard: self.guard,
+            obs: self.obs,
+            threads: self.config.threads,
+        }
+    }
+
+    /// Estimated edges traversed when expanding `from_count` vertices over
+    /// the named edge types — the planner's parallel-dispatch heuristic for
+    /// traversal kernels. Mean degrees come from the catalog statistics
+    /// store when present; absent (or never computed) stats degrade to a
+    /// conservative mean of one edge per vertex. The estimate only sizes the
+    /// worker pool, so staleness cannot affect results.
+    pub fn est_traversed_edges(
+        &self,
+        etype_names: &[&str],
+        from_count: usize,
+        forward: bool,
+    ) -> usize {
+        let mean: f64 = etype_names
+            .iter()
+            .map(|name| {
+                self.stats
+                    .and_then(|s| s.edges.get(*name))
+                    .map_or(1.0, |e| {
+                        if forward {
+                            e.mean_out_degree
+                        } else {
+                            e.mean_in_degree
+                        }
+                        .max(0.0)
+                    })
+            })
+            .sum::<f64>()
+            .max(1.0);
+        (from_count as f64 * mean) as usize
+    }
+
     /// Source table of a vertex type.
     pub fn vtable(&self, vt: VTypeId) -> &'a Table {
         self.storage

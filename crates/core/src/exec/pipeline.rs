@@ -298,7 +298,9 @@ pub fn execute_fused(
         out.push_row(&row)?;
     }
 
-    // Consumer's order by / top n (kept at the end of execute_fused).
+    // Consumer's order by / top n (kept at the end of execute_fused),
+    // governed and profiled like the unfused statement's.
+    let cx = ctx.ops();
     if !consumer.order_by.is_empty() {
         let keys = consumer
             .order_by
@@ -308,10 +310,10 @@ pub fn execute_fused(
                 Ok(SortKey { col, desc: k.desc })
             })
             .collect::<Result<Vec<_>>>()?;
-        out = graql_table::ops::sort(&out, &keys);
+        out = graql_table::ops::sort(&out, &keys, &cx)?;
     }
     if let Some(n) = consumer.top {
-        out = graql_table::ops::top_n(&out, n as usize);
+        out = graql_table::ops::top_n(&out, n as usize, &cx);
     }
     Ok(out)
 }
@@ -376,5 +378,39 @@ mod tests {
         let ddl = graql_parser::parse_statement("create table T1(a integer)").unwrap();
         let (_, c) = pair(PROD, CONS);
         assert!(!can_fuse(&ddl, &c));
+    }
+
+    /// The fused tail runs the same governed kernels as the unfused
+    /// statement, under the query's context: its sort and truncation are
+    /// recorded stages and the sort is charged to the guard.
+    #[test]
+    fn fused_tail_runs_the_governed_kernels() {
+        use graql_types::obs::Stage;
+        use graql_types::{QueryBudget, QueryGuard, QueryProfile};
+
+        let mut db = crate::Database::new();
+        db.execute_script(
+            "create table VT(a integer)\ncreate table WT(id integer, v integer)\n\
+             create vertex V(a) from table VT\ncreate vertex W(id) from table WT\n\
+             create edge e with vertices (V, W) where V.a = W.v",
+        )
+        .unwrap();
+        db.ingest_str("VT", "1\n").unwrap();
+        db.ingest_str("WT", "10,1\n11,1\n12,1\n").unwrap();
+        db.graph().unwrap();
+        let (Stmt::Select(p), Stmt::Select(c)) = pair(PROD, CONS) else {
+            panic!("both statements are selects")
+        };
+
+        let guard = QueryGuard::new(QueryBudget::UNLIMITED);
+        let profile = QueryProfile::new();
+        let mut ctx = db.exec_ctx(&guard).unwrap();
+        ctx.obs = Some(&profile);
+        let out = execute_fused(&ctx, &p, &c).unwrap();
+        assert_eq!(out.n_rows(), 3);
+        assert_eq!(profile.stage_calls(Stage::Sort), 1);
+        assert_eq!(profile.stage_calls(Stage::Top), 1);
+        // The sort's index vector (4 bytes a row) plus its output.
+        assert!(guard.bytes() >= 4 * 3 + out.approx_bytes());
     }
 }

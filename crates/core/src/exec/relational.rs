@@ -3,13 +3,13 @@
 //! top n, aliasing).
 
 use graql_parser::ast::{self, AggCall, SelectExpr, SelectTargets};
-use graql_table::ops::{self, AggFn, AggSpec, SortKey};
-use graql_table::{PhysExpr, Table, TableSchema};
+use graql_table::ops::{self, AggFn, AggSpec, OpCtx, SortKey};
+use graql_table::{Table, TableSchema};
 use graql_types::obs::{obs_record_rows, obs_start, Stage};
 use graql_types::{GraqlError, Result};
 
 use crate::cond::compile_single_table;
-use crate::exec::{morsel, ExecCtx};
+use crate::exec::ExecCtx;
 
 /// Executes a table-sourced select statement.
 pub fn execute_table_select(ctx: &ExecCtx<'_>, sel: &ast::SelectStmt) -> Result<Table> {
@@ -17,12 +17,13 @@ pub fn execute_table_select(ctx: &ExecCtx<'_>, sel: &ast::SelectStmt) -> Result<
         return Err(GraqlError::exec("internal: not a table select"));
     };
     let base = ctx.any_table(table_name)?;
+    let cx = ctx.ops();
 
     // 1. Selection.
     let filtered: Table = match &sel.where_clause {
         Some(w) => {
             let pred = compile_single_table(w, base.schema(), &[table_name.as_str()], ctx.params)?;
-            filter_stage(ctx, base, &pred)?
+            ops::filter(base, &pred, &cx)?
         }
         None => base.clone(),
     };
@@ -49,7 +50,7 @@ pub fn execute_table_select(ctx: &ExecCtx<'_>, sel: &ast::SelectStmt) -> Result<
         SelectTargets::Items(items) => {
             let has_aggs = sel.has_aggregates();
             if has_aggs || !sel.group_by.is_empty() {
-                aggregate_projection(ctx, &filtered, sel, items, &col_index)?
+                aggregate_projection(&cx, &filtered, sel, items, &col_index)?
             } else {
                 let span = obs_start(ctx.obs);
                 let projected = plain_projection(&filtered, items, &col_index)?;
@@ -67,7 +68,7 @@ pub fn execute_table_select(ctx: &ExecCtx<'_>, sel: &ast::SelectStmt) -> Result<
 
     // 3. Distinct.
     if sel.distinct {
-        out = ops::distinct_profiled(&out, ctx.guard, ctx.obs)?;
+        out = ops::distinct(&out, &cx)?;
     }
 
     // 4. Order by (over the *output* schema, so aliases work — Fig. 6's
@@ -86,94 +87,15 @@ pub fn execute_table_select(ctx: &ExecCtx<'_>, sel: &ast::SelectStmt) -> Result<
                 Ok(SortKey { col, desc: k.desc })
             })
             .collect::<Result<Vec<_>>>()?;
-        out = sort_stage(ctx, &out, &keys)?;
+        out = ops::sort(&out, &keys, &cx)?;
     }
 
     // 5. Top n.
     if let Some(n) = sel.top {
-        out = ops::top_n_profiled(&out, n as usize, ctx.obs);
+        out = ops::top_n(&out, n as usize, &cx);
     }
     ctx.guard.add_rows(out.n_rows() as u64)?;
     Ok(out)
-}
-
-/// Selection as a morsel-parallel columnar scan: each morsel sweeps its
-/// row range through the typed batch kernel
-/// ([`PhysExpr::eval_range_into`]); hit lists concatenate in morsel order,
-/// so the gathered output matches `ops::filter_guarded` byte for byte.
-fn filter_stage(ctx: &ExecCtx<'_>, base: &Table, pred: &PhysExpr) -> Result<Table> {
-    let span = obs_start(ctx.obs);
-    let n = base.n_rows();
-    let workers = morsel::scan_workers(ctx.config.threads, n, morsel::PAR_MIN_ITEMS);
-    let parts = morsel::run_morsels(ctx.guard, n, morsel::MORSEL_ROWS, workers, |_, range| {
-        let mut hits: Vec<u32> = Vec::new();
-        pred.eval_range_into(base, range.start as u32, range.end as u32, &mut hits);
-        Ok(hits)
-    })?;
-    let idx = morsel::concat(parts);
-    ctx.guard.add_bytes(4 * idx.len() as u64)?;
-    let out = base.gather(&idx);
-    ctx.guard.add_bytes(out.approx_bytes())?;
-    obs_record_rows(ctx.obs, Stage::Filter, span, n as u64, out.n_rows() as u64);
-    Ok(out)
-}
-
-/// `order by` with morsel-parallel run formation: each worker sorts a
-/// contiguous run with the shared comparator ([`ops::cmp_rows`], which
-/// tie-breaks on row index and is therefore a strict total order), then
-/// pairwise merges reassemble the single globally-sorted index — the
-/// exact sequence `ops::sort_indices` produces. Small inputs delegate to
-/// the serial kernel.
-fn sort_stage(ctx: &ExecCtx<'_>, t: &Table, keys: &[SortKey]) -> Result<Table> {
-    const SORT_PAR_MIN: usize = 8192;
-    let n = t.n_rows();
-    let workers = morsel::scan_workers(ctx.config.threads, n, SORT_PAR_MIN);
-    if workers <= 1 {
-        return ops::sort_profiled(t, keys, ctx.guard, ctx.obs);
-    }
-    let span = obs_start(ctx.obs);
-    let morsel_size = n.div_ceil(workers * 2).max(1);
-    let mut runs = morsel::run_morsels(ctx.guard, n, morsel_size, workers, |_, range| {
-        let mut idx: Vec<u32> = (range.start as u32..range.end as u32).collect();
-        idx.sort_unstable_by(|&a, &b| ops::cmp_rows(t, keys, a, b));
-        Ok(idx)
-    })?;
-    while runs.len() > 1 {
-        ctx.guard.check()?;
-        let mut merged: Vec<Vec<u32>> = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => merged.push(merge_runs(t, keys, a, b)),
-                None => merged.push(a),
-            }
-        }
-        runs = merged;
-    }
-    let idx = runs.pop().unwrap_or_default();
-    ctx.guard.add_bytes(4 * idx.len() as u64)?;
-    ctx.guard.check()?;
-    let out = t.gather(&idx);
-    ctx.guard.add_bytes(out.approx_bytes())?;
-    obs_record_rows(ctx.obs, Stage::Sort, span, n as u64, out.n_rows() as u64);
-    Ok(out)
-}
-
-fn merge_runs(t: &Table, keys: &[SortKey], a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if ops::cmp_rows(t, keys, a[i], b[j]) != std::cmp::Ordering::Greater {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 fn plain_projection(
@@ -205,7 +127,7 @@ fn plain_projection(
 }
 
 fn aggregate_projection(
-    ctx: &ExecCtx<'_>,
+    cx: &OpCtx,
     t: &Table,
     sel: &ast::SelectStmt,
     items: &[ast::SelectItem],
@@ -252,7 +174,7 @@ fn aggregate_projection(
             }
         }
     }
-    let grouped = ops::group_aggregate_profiled(t, &group_cols, &aggs, ctx.guard, ctx.obs)?;
+    let grouped = ops::group_aggregate(t, &group_cols, &aggs, cx)?;
     // group_aggregate lays out group columns first, then aggregates; remap
     // to the select-list order with aliases.
     let n_groups = group_cols.len();

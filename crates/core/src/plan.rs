@@ -41,8 +41,8 @@ pub struct ExecConfig {
     /// Worker threads for the morsel-driven parallel kernels (candidate
     /// scans, hop expansion, path enumeration, filter/sort). `1` is the
     /// serial path; any value produces byte-identical results because the
-    /// morsel merge restores serial order (see `exec::morsel`). Defaults
-    /// to the number of available cores.
+    /// morsel merge restores serial order (see `graql_table::morsel`).
+    /// Defaults to the number of available cores.
     pub threads: usize,
 }
 

@@ -610,24 +610,15 @@ impl Session {
     /// Executes a script shipped as binary IR (the wire form, paper §III).
     pub fn execute_ir(&mut self, blob: &[u8]) -> Result<Vec<SessionOutput>> {
         let guard = QueryGuard::new(self.query_budget());
-        self.execute_ir_guarded(blob, &guard)
+        self.execute_ir_observed(blob, &guard, None)
     }
 
     /// [`Session::execute_ir`] under an externally owned [`QueryGuard`] —
     /// the network server's entry point: the guard is shared with the
     /// connection thread so a wire `Cancel` (or the request deadline) can
-    /// abort execution mid-flight.
-    pub fn execute_ir_guarded(
-        &mut self,
-        blob: &[u8],
-        guard: &QueryGuard,
-    ) -> Result<Vec<SessionOutput>> {
-        self.execute_ir_observed(blob, guard, None)
-    }
-
-    /// [`Session::execute_ir_guarded`] with an optional span recorder
-    /// armed: read-only selects record per-stage timings into `obs` (the
-    /// slow-query log path of the network server).
+    /// abort execution mid-flight. With a span recorder armed, read-only
+    /// selects record per-stage timings into `obs` (the slow-query log
+    /// path of the network server).
     pub fn execute_ir_observed(
         &mut self,
         blob: &[u8],
@@ -653,7 +644,7 @@ impl Session {
     /// concurrent sessions query in parallel even during a long ingest.
     pub fn execute_parsed(&mut self, script: &ast::Script) -> Result<Vec<StmtOutput>> {
         let guard = QueryGuard::new(self.query_budget());
-        self.execute_parsed_guarded(script, &guard)
+        self.execute_parsed_observed(script, &guard, None)
     }
 
     /// [`Session::execute_parsed`] under an externally owned guard that
@@ -663,15 +654,7 @@ impl Session {
     /// Every call reports into the server's [`MetricsRegistry`]: one
     /// outcome per script (governance kills classified by their typed
     /// error), whole-script latency, and guard-accounted rows/bytes.
-    pub fn execute_parsed_guarded(
-        &mut self,
-        script: &ast::Script,
-        guard: &QueryGuard,
-    ) -> Result<Vec<StmtOutput>> {
-        self.execute_parsed_observed(script, guard, None)
-    }
-
-    /// [`Session::execute_parsed_guarded`] with an optional span recorder.
+    /// `obs` optionally arms a span recorder.
     pub fn execute_parsed_observed(
         &mut self,
         script: &ast::Script,

@@ -5,8 +5,6 @@
 //! query: the execution is not restricted to the forward-looking lexical
 //! representation".
 
-use rayon::prelude::*;
-
 /// CSR adjacency from `n_src` source vertices: for each source, the
 /// (target, edge-id) pairs of its incident edges.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,11 +83,9 @@ impl Csr {
         b - a
     }
 
-    /// Maximum degree over all sources (a sequential reduction: the
-    /// `rayon` stand-in under `shims/` runs `into_par_iter` on one thread).
+    /// Maximum degree over all sources.
     pub fn max_degree(&self) -> usize {
         (0..self.n_src() as u32)
-            .into_par_iter()
             .map(|v| self.degree(v))
             .max()
             .unwrap_or(0)

@@ -2,8 +2,6 @@
 //! degree-distribution properties per type, feeding the query planner's
 //! traversal-order decisions.
 
-use rayon::prelude::*;
-
 use crate::graph::{ETypeId, Graph, VTypeId};
 
 /// Statistics for one vertex type.
@@ -62,8 +60,7 @@ pub struct GraphStats {
 }
 
 impl GraphStats {
-    /// Computes statistics for every type, one edge type after another:
-    /// the `rayon` stand-in under `shims/` runs `par_iter` on one thread.
+    /// Computes statistics for every type, one edge type after another.
     /// Degree scans are the expensive part.
     pub fn compute(g: &Graph) -> GraphStats {
         let vertices = g
@@ -73,10 +70,9 @@ impl GraphStats {
                 count: g.vset(vt).len(),
             })
             .collect();
-        let etypes: Vec<ETypeId> = g.etype_ids().collect();
-        let edges = etypes
-            .par_iter()
-            .map(|&et| {
+        let edges = g
+            .etype_ids()
+            .map(|et| {
                 let es = g.eset(et);
                 let idx = g.edge_index(et);
                 let n_src = g.vset(es.src_type).len();

@@ -4,7 +4,7 @@
 //! project onto the key columns, and create **one vertex instance per
 //! distinct key combination**.
 
-use graql_table::ops::{filter_indices, group_indices};
+use graql_table::ops::{filter_indices, group_indices, OpCtx};
 use graql_table::{PhysExpr, Table};
 use graql_types::{GraqlError, Result, Value};
 use rustc_hash::FxHashMap;
@@ -79,7 +79,7 @@ impl VertexSet {
                 .all(|&c| !table.column(c).is_null(r as usize))
         });
         let view = table.gather(&selected);
-        let (reps, groups) = group_indices(&view, &key_cols);
+        let (reps, groups) = group_indices(&view, &key_cols, &OpCtx::default())?;
         // Translate view-local row indices back to source-table rows.
         let to_src = |i: u32| selected[i as usize];
         let keys = {

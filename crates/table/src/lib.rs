@@ -7,11 +7,12 @@
 //! else is a view over — typed columns with dictionary-encoded strings and
 //! null masks, CSV ingest/output, and the relational kernels behind every
 //! operation in the paper's Table 1 (select, order by, group by, distinct,
-//! count, avg, min, max, sum, top n, as) plus the hash join used by edge
-//! construction (Eq. 2).
+//! count, avg, min, max, sum, top n, as), the morsel scheduler they run on
+//! ([`morsel`]), and a pairwise hash join ([`ops::hash_join_pairs`]).
 //!
 //! ```
-//! use graql_table::{ops, PhysExpr, Table, TableSchema};
+//! use graql_table::ops::{self, OpCtx};
+//! use graql_table::{PhysExpr, Table, TableSchema};
 //! use graql_types::{CmpOp, DataType, Value};
 //!
 //! let schema = TableSchema::of(&[("city", DataType::Varchar(16)), ("pop", DataType::Integer)]);
@@ -19,8 +20,9 @@
 //! graql_table::csv::ingest_str(&mut t, "rome,2800000\nmilan,1400000\nlyon,520000\n").unwrap();
 //!
 //! // select city from t where pop > 1000000 order by pop desc
-//! let big = ops::filter(&t, &PhysExpr::cmp_col_const(1, CmpOp::Gt, Value::Int(1_000_000)));
-//! let sorted = ops::sort(&big, &[ops::SortKey::desc(1)]);
+//! let cx = OpCtx::default(); // ungoverned, unprofiled, one thread
+//! let big = ops::filter(&t, &PhysExpr::cmp_col_const(1, CmpOp::Gt, Value::Int(1_000_000)), &cx).unwrap();
+//! let sorted = ops::sort(&big, &[ops::SortKey::desc(1)], &cx).unwrap();
 //! assert_eq!(sorted.get(0, 0), Value::str("rome"));
 //! assert_eq!(sorted.n_rows(), 2);
 //! ```
@@ -29,6 +31,7 @@ pub mod bitset;
 pub mod column;
 pub mod csv;
 pub mod expr;
+pub mod morsel;
 pub mod ops;
 pub mod schema;
 pub mod table;

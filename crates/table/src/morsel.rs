@@ -28,6 +28,10 @@
 //! Failpoint sites `core/exec/morsel-dispatch` (per morsel claim, so it
 //! fires from real worker threads) and `core/exec/morsel-merge` (on the
 //! caller thread before reassembly) make both halves fault-testable.
+//!
+//! The scheduler lives in this crate, below both of its users: the
+//! Table-1 kernels in [`crate::ops`] and the graph kernels in
+//! `graql_core::exec` run their morsels through this one function.
 
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -35,8 +39,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use graql_types::{GraqlError, QueryGuard, Result};
-
-use crate::catalog::CatalogStats;
 
 /// Rows per morsel for scan-shaped kernels.
 pub const MORSEL_ROWS: usize = 2048;
@@ -54,35 +56,6 @@ pub fn scan_workers(threads: usize, n_items: usize, min_items: usize) -> usize {
     } else {
         threads.max(1)
     }
-}
-
-/// Estimated edges traversed when expanding `from_count` vertices over
-/// the named edge types — the planner's parallel-dispatch heuristic for
-/// traversal kernels. Mean degrees come from the catalog statistics
-/// store when present; absent (or never computed) stats degrade to a
-/// conservative mean of one edge per vertex. The estimate only sizes the
-/// worker pool, so staleness cannot affect results.
-pub fn est_traversed_edges(
-    stats: Option<&CatalogStats>,
-    etype_names: &[&str],
-    from_count: usize,
-    forward: bool,
-) -> usize {
-    let mean: f64 = etype_names
-        .iter()
-        .map(|name| {
-            stats.and_then(|s| s.edges.get(*name)).map_or(1.0, |e| {
-                if forward {
-                    e.mean_out_degree
-                } else {
-                    e.mean_in_degree
-                }
-                .max(0.0)
-            })
-        })
-        .sum::<f64>()
-        .max(1.0);
-    (from_count as f64 * mean) as usize
 }
 
 /// Concatenates per-morsel output vectors in morsel order — the

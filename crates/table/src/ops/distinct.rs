@@ -1,19 +1,17 @@
 //! `distinct`: duplicate elimination, keeping first occurrences.
 
-use graql_types::{QueryGuard, Result, Value};
+use graql_types::obs::{obs_record_rows, obs_start, Stage};
+use graql_types::{Result, Value};
 use rustc_hash::FxHashSet;
 
+use super::OpCtx;
 use crate::table::Table;
 
 /// Indices of the first occurrence of each distinct tuple of `cols`
 /// (in ascending row order). With `cols` empty, all columns are keyed.
-pub fn distinct_indices(t: &Table, cols: &[usize]) -> Vec<u32> {
-    distinct_indices_guarded(t, cols, QueryGuard::unlimited()).expect("unlimited guard never fires")
-}
-
-/// [`distinct_indices`] under query governance: cooperative checks per
-/// input row, and the dedup set charged against the memory budget.
-pub fn distinct_indices_guarded(t: &Table, cols: &[usize], guard: &QueryGuard) -> Result<Vec<u32>> {
+/// The guard is checked cooperatively per input row and the dedup set is
+/// charged against the memory budget.
+pub fn distinct_indices(t: &Table, cols: &[usize], cx: &OpCtx) -> Result<Vec<u32>> {
     let all: Vec<usize>;
     let cols = if cols.is_empty() {
         all = (0..t.n_cols()).collect();
@@ -23,7 +21,7 @@ pub fn distinct_indices_guarded(t: &Table, cols: &[usize], guard: &QueryGuard) -
     };
     let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
     let mut out = Vec::new();
-    let mut tick = guard.ticker();
+    let mut tick = cx.guard.ticker();
     for i in 0..t.n_rows() {
         tick.tick()?;
         let key: Vec<Value> = cols.iter().map(|&c| t.get(i, c)).collect();
@@ -31,19 +29,19 @@ pub fn distinct_indices_guarded(t: &Table, cols: &[usize], guard: &QueryGuard) -
             out.push(i as u32);
         }
     }
-    guard.add_bytes(16 * cols.len() as u64 * seen.len() as u64)?;
+    let set_bytes = 16 * cols.len() as u64 * seen.len() as u64;
+    cx.guard.add_bytes(set_bytes)?;
     Ok(out)
 }
 
-/// Materialized `select distinct` over all columns.
-pub fn distinct(t: &Table) -> Table {
-    t.gather(&distinct_indices(t, &[]))
-}
-
-/// Materialized `select distinct` under query governance.
-pub fn distinct_guarded(t: &Table, guard: &QueryGuard) -> Result<Table> {
-    let out = t.gather(&distinct_indices_guarded(t, &[], guard)?);
-    guard.add_bytes(out.approx_bytes())?;
+/// Materialized `select distinct` over all columns; the output is
+/// charged to the memory budget.
+pub fn distinct(t: &Table, cx: &OpCtx) -> Result<Table> {
+    let span = obs_start(cx.obs);
+    let out = t.gather(&distinct_indices(t, &[], cx)?);
+    cx.guard.add_bytes(out.approx_bytes())?;
+    let (n_in, n_out) = (t.n_rows() as u64, out.n_rows() as u64);
+    obs_record_rows(cx.obs, Stage::Distinct, span, n_in, n_out);
     Ok(out)
 }
 
@@ -69,7 +67,7 @@ mod tests {
 
     #[test]
     fn distinct_all_columns() {
-        let d = distinct(&t());
+        let d = distinct(&t(), &OpCtx::default()).unwrap();
         assert_eq!(d.n_rows(), 3);
         assert_eq!(d.get(0, 1), Value::Int(10));
         assert_eq!(d.get(1, 1), Value::Int(20));
@@ -78,7 +76,7 @@ mod tests {
 
     #[test]
     fn distinct_on_subset_keeps_first_row() {
-        let idx = distinct_indices(&t(), &[0]);
+        let idx = distinct_indices(&t(), &[0], &OpCtx::default()).unwrap();
         assert_eq!(idx, vec![0, 3]);
     }
 
@@ -90,7 +88,7 @@ mod tests {
             vec![vec![Value::Null], vec![Value::Null], vec![Value::Int(1)]],
         )
         .unwrap();
-        assert_eq!(distinct(&t).n_rows(), 2);
+        assert_eq!(distinct(&t, &OpCtx::default()).unwrap().n_rows(), 2);
     }
 
     #[test]
@@ -98,6 +96,6 @@ mod tests {
         let schema = TableSchema::of(&[("a", DataType::Float)]);
         let t =
             Table::from_rows(schema, vec![vec![Value::Int(2)], vec![Value::Float(2.0)]]).unwrap();
-        assert_eq!(distinct(&t).n_rows(), 1);
+        assert_eq!(distinct(&t, &OpCtx::default()).unwrap().n_rows(), 1);
     }
 }

@@ -1,46 +1,43 @@
 //! Selection (`where` clauses).
 
-use graql_types::{QueryGuard, Result};
+use graql_types::obs::{obs_record_rows, obs_start, Stage};
+use graql_types::Result;
 
+use super::OpCtx;
 use crate::expr::PhysExpr;
+use crate::morsel;
 use crate::table::Table;
 
-/// Rows evaluated per governance check on the batched scan.
-const BATCH_ROWS: u32 = 4096;
-
-/// Indices (ascending) of rows satisfying `pred`.
+/// Indices (ascending) of rows satisfying `pred`: one ungoverned sweep of
+/// the whole table through the batch kernel. This is what vertex and edge
+/// *view construction* calls (it runs outside any query, so there is
+/// nothing to govern or profile); `select … where` runs [`filter`].
 pub fn filter_indices(t: &Table, pred: &PhysExpr) -> Vec<u32> {
-    filter_indices_guarded(t, pred, QueryGuard::unlimited()).expect("unlimited guard never fires")
-}
-
-/// [`filter_indices`] under query governance: the scan runs as columnar
-/// batches ([`PhysExpr::eval_range_into`]) with a cooperative
-/// cancel/deadline check between batches, and the output is charged
-/// against the memory budget. Parallel callers (`core::exec::morsel`)
-/// invoke the batch kernel per morsel instead.
-pub fn filter_indices_guarded(t: &Table, pred: &PhysExpr, guard: &QueryGuard) -> Result<Vec<u32>> {
-    let n = t.n_rows() as u32;
     let mut out = Vec::new();
-    let mut lo = 0u32;
-    while lo < n {
-        guard.check()?;
-        let hi = n.min(lo + BATCH_ROWS);
-        pred.eval_range_into(t, lo, hi, &mut out);
-        lo = hi;
-    }
-    guard.add_bytes(4 * out.len() as u64)?;
-    Ok(out)
+    pred.eval_range_into(t, 0, t.n_rows() as u32, &mut out);
+    out
 }
 
-/// Materialized selection.
-pub fn filter(t: &Table, pred: &PhysExpr) -> Table {
-    t.gather(&filter_indices(t, pred))
-}
-
-/// Materialized selection under query governance.
-pub fn filter_guarded(t: &Table, pred: &PhysExpr, guard: &QueryGuard) -> Result<Table> {
-    let out = t.gather(&filter_indices_guarded(t, pred, guard)?);
-    guard.add_bytes(out.approx_bytes())?;
+/// Materialized selection as a morsel-parallel columnar scan: each morsel
+/// sweeps its row range through the typed batch kernel
+/// ([`PhysExpr::eval_range_into`]) after a cooperative cancel/deadline
+/// check; hit lists concatenate in morsel order, so the output is the
+/// serial scan's byte for byte at any thread count. The selection vector
+/// and the gathered output are charged against the memory budget.
+pub fn filter(t: &Table, pred: &PhysExpr, cx: &OpCtx) -> Result<Table> {
+    let span = obs_start(cx.obs);
+    let n = t.n_rows();
+    let workers = morsel::scan_workers(cx.threads, n, morsel::PAR_MIN_ITEMS);
+    let parts = morsel::run_morsels(cx.guard, n, morsel::MORSEL_ROWS, workers, |_, range| {
+        let mut hits: Vec<u32> = Vec::new();
+        pred.eval_range_into(t, range.start as u32, range.end as u32, &mut hits);
+        Ok(hits)
+    })?;
+    let idx = morsel::concat(parts);
+    cx.guard.add_bytes(4 * idx.len() as u64)?;
+    let out = t.gather(&idx);
+    cx.guard.add_bytes(out.approx_bytes())?;
+    obs_record_rows(cx.obs, Stage::Filter, span, n as u64, out.n_rows() as u64);
     Ok(out)
 }
 
@@ -63,13 +60,23 @@ mod tests {
     }
 
     #[test]
-    fn large_table_batched_scan_keeps_order() {
+    fn large_table_morsel_scan_keeps_order() {
         let t = numbers(10_000);
-        let sel = filter_indices(&t, &PhysExpr::cmp_col_const(0, CmpOp::Lt, Value::Int(5)));
-        assert_eq!(sel, vec![0, 1, 2, 3, 4]);
-        let all = filter_indices(&t, &PhysExpr::always());
-        assert_eq!(all.len(), 10_000);
-        assert!(all.windows(2).all(|w| w[0] < w[1]), "ascending order");
+        for threads in [1, 4] {
+            let cx = OpCtx {
+                threads,
+                ..OpCtx::default()
+            };
+            let lt5 = PhysExpr::cmp_col_const(0, CmpOp::Lt, Value::Int(5));
+            let sel = filter(&t, &lt5, &cx).unwrap();
+            assert_eq!(sel.n_rows(), 5);
+            let all = filter(&t, &PhysExpr::always(), &cx).unwrap();
+            assert_eq!(all.n_rows(), 10_000);
+            assert!(
+                (1..10_000).all(|i| all.get(i - 1, 0) < all.get(i, 0)),
+                "ascending order at {threads} threads"
+            );
+        }
     }
 
     #[test]
@@ -110,7 +117,8 @@ mod tests {
     #[test]
     fn filter_materializes() {
         let t = numbers(100);
-        let f = filter(&t, &PhysExpr::cmp_col_const(0, CmpOp::Eq, Value::Int(42)));
+        let eq42 = PhysExpr::cmp_col_const(0, CmpOp::Eq, Value::Int(42));
+        let f = filter(&t, &eq42, &OpCtx::default()).unwrap();
         assert_eq!(f.n_rows(), 1);
         assert_eq!(f.get(0, 0), Value::Int(42));
     }

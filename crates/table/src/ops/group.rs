@@ -1,8 +1,10 @@
 //! `group by` with the Table-1 aggregates: count, sum, avg, min, max.
 
-use graql_types::{DataType, GraqlError, QueryGuard, Result, Value};
+use graql_types::obs::{obs_record_rows, obs_start, Stage};
+use graql_types::{DataType, GraqlError, Result, Value};
 use rustc_hash::FxHashMap;
 
+use super::OpCtx;
 use crate::schema::{ColumnDef, TableSchema};
 use crate::table::Table;
 
@@ -63,23 +65,18 @@ impl AggSpec {
 ///
 /// Returns representative row indices (first of each group, in first-seen
 /// order) and the member row lists. Also used by many-to-one vertex
-/// construction (Eq. 1: one vertex instance per distinct key).
-pub fn group_indices(t: &Table, group_cols: &[usize]) -> (Vec<u32>, Vec<Vec<u32>>) {
-    group_indices_guarded(t, group_cols, QueryGuard::unlimited())
-        .expect("unlimited guard never fires")
-}
-
-/// [`group_indices`] under query governance: cooperative checks per input
-/// row, and the grouping index charged against the memory budget.
-pub fn group_indices_guarded(
+/// construction (Eq. 1: one vertex instance per distinct key). The guard
+/// is checked cooperatively per input row and the grouping index is
+/// charged against the memory budget.
+pub fn group_indices(
     t: &Table,
     group_cols: &[usize],
-    guard: &QueryGuard,
+    cx: &OpCtx,
 ) -> Result<(Vec<u32>, Vec<Vec<u32>>)> {
     let mut map: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
     let mut reps: Vec<u32> = Vec::new();
     let mut groups: Vec<Vec<u32>> = Vec::new();
-    let mut tick = guard.ticker();
+    let mut tick = cx.guard.ticker();
     for i in 0..t.n_rows() {
         tick.tick()?;
         let key: Vec<Value> = group_cols.iter().map(|&c| t.get(i, c)).collect();
@@ -92,7 +89,8 @@ pub fn group_indices_guarded(
             }
         }
     }
-    guard.add_bytes(4 * (t.n_rows() as u64 + reps.len() as u64))?;
+    cx.guard
+        .add_bytes(4 * (t.n_rows() as u64 + reps.len() as u64))?;
     Ok((reps, groups))
 }
 
@@ -100,19 +98,15 @@ pub fn group_indices_guarded(
 ///
 /// With `group_cols` empty this is a global aggregate producing one row
 /// (or one row over zero input rows, with SQL semantics: count = 0, other
-/// aggregates null).
-pub fn group_aggregate(t: &Table, group_cols: &[usize], aggs: &[AggSpec]) -> Result<Table> {
-    group_aggregate_guarded(t, group_cols, aggs, QueryGuard::unlimited())
-}
-
-/// [`group_aggregate`] under query governance: cooperative checks per
-/// group and the output table charged against the memory budget.
-pub fn group_aggregate_guarded(
+/// aggregates null). The guard is checked cooperatively per group and
+/// the output table is charged against the memory budget.
+pub fn group_aggregate(
     t: &Table,
     group_cols: &[usize],
     aggs: &[AggSpec],
-    guard: &QueryGuard,
+    cx: &OpCtx,
 ) -> Result<Table> {
+    let span = obs_start(cx.obs);
     let mut defs: Vec<ColumnDef> = group_cols
         .iter()
         .map(|&c| t.schema().column(c).clone())
@@ -126,10 +120,10 @@ pub fn group_aggregate_guarded(
     let groups: Vec<Vec<u32>> = if group_cols.is_empty() {
         vec![(0..t.n_rows() as u32).collect()]
     } else {
-        group_indices_guarded(t, group_cols, guard)?.1
+        group_indices(t, group_cols, cx)?.1
     };
 
-    let mut tick = guard.ticker();
+    let mut tick = cx.guard.ticker();
     for members in &groups {
         tick.tick()?;
         let rep = members.first().copied();
@@ -142,7 +136,9 @@ pub fn group_aggregate_guarded(
         }
         out.push_row(&row)?;
     }
-    guard.add_bytes(out.approx_bytes())?;
+    cx.guard.add_bytes(out.approx_bytes())?;
+    let (n_in, n_out) = (t.n_rows() as u64, out.n_rows() as u64);
+    obs_record_rows(cx.obs, Stage::Aggregate, span, n_in, n_out);
     Ok(out)
 }
 
@@ -268,7 +264,7 @@ mod tests {
     #[test]
     fn group_indices_first_seen_order() {
         let t = offers();
-        let (reps, groups) = group_indices(&t, &[0]);
+        let (reps, groups) = group_indices(&t, &[0], &OpCtx::default()).unwrap();
         assert_eq!(reps, vec![0, 1]);
         assert_eq!(groups, vec![vec![0, 2, 3], vec![1]]);
     }
@@ -283,6 +279,7 @@ mod tests {
                 AggSpec::new(AggFn::CountStar, "n"),
                 AggSpec::new(AggFn::Count(1), "nprices"),
             ],
+            &OpCtx::default(),
         )
         .unwrap();
         assert_eq!(out.n_rows(), 2);
@@ -302,6 +299,7 @@ mod tests {
                 AggSpec::new(AggFn::Sum(1), "s"),
                 AggSpec::new(AggFn::Avg(1), "a"),
             ],
+            &OpCtx::default(),
         )
         .unwrap();
         assert_eq!(out.get(0, 1), Value::Float(16.0));
@@ -311,7 +309,13 @@ mod tests {
     #[test]
     fn sum_of_integer_column_is_integer() {
         let t = offers();
-        let out = group_aggregate(&t, &[], &[AggSpec::new(AggFn::Sum(2), "s")]).unwrap();
+        let out = group_aggregate(
+            &t,
+            &[],
+            &[AggSpec::new(AggFn::Sum(2), "s")],
+            &OpCtx::default(),
+        )
+        .unwrap();
         assert_eq!(out.get(0, 0), Value::Int(9));
     }
 
@@ -325,6 +329,7 @@ mod tests {
                 AggSpec::new(AggFn::Min(3), "lo"),
                 AggSpec::new(AggFn::Max(3), "hi"),
             ],
+            &OpCtx::default(),
         )
         .unwrap();
         assert_eq!(out.get(0, 1), Value::Date(Date(5)));
@@ -341,6 +346,7 @@ mod tests {
                 AggSpec::new(AggFn::CountStar, "n"),
                 AggSpec::new(AggFn::Max(1), "m"),
             ],
+            &OpCtx::default(),
         )
         .unwrap();
         assert_eq!(out.n_rows(), 1);
@@ -351,16 +357,40 @@ mod tests {
     #[test]
     fn aggregates_over_non_numeric_rejected() {
         let t = offers();
-        assert!(group_aggregate(&t, &[], &[AggSpec::new(AggFn::Sum(0), "s")]).is_err());
-        assert!(group_aggregate(&t, &[], &[AggSpec::new(AggFn::Avg(3), "a")]).is_err());
+        assert!(group_aggregate(
+            &t,
+            &[],
+            &[AggSpec::new(AggFn::Sum(0), "s")],
+            &OpCtx::default()
+        )
+        .is_err());
+        assert!(group_aggregate(
+            &t,
+            &[],
+            &[AggSpec::new(AggFn::Avg(3), "a")],
+            &OpCtx::default()
+        )
+        .is_err());
         // min/max on dates and strings are fine
-        assert!(group_aggregate(&t, &[], &[AggSpec::new(AggFn::Min(0), "m")]).is_ok());
+        assert!(group_aggregate(
+            &t,
+            &[],
+            &[AggSpec::new(AggFn::Min(0), "m")],
+            &OpCtx::default()
+        )
+        .is_ok());
     }
 
     #[test]
     fn group_by_multiple_columns() {
         let t = offers();
-        let out = group_aggregate(&t, &[0, 2], &[AggSpec::new(AggFn::CountStar, "n")]).unwrap();
+        let out = group_aggregate(
+            &t,
+            &[0, 2],
+            &[AggSpec::new(AggFn::CountStar, "n")],
+            &OpCtx::default(),
+        )
+        .unwrap();
         assert_eq!(
             out.n_rows(),
             4,

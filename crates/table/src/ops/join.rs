@@ -1,20 +1,12 @@
-//! Hash join: the workhorse behind edge construction (paper Eq. 2) and the
-//! implicit join of endpoint tables in `create edge … where` declarations.
+//! Pairwise hash equi-join. Not a Table-1 operation and not on the
+//! engine's path: `create edge … where` (paper Eq. 2) is built by the
+//! n-way tuple join in `graql_core::ddl::build_edge`. This kernel is the
+//! two-table library form.
 
-use graql_types::{QueryGuard, Result, Value};
+use graql_types::Value;
 use rustc_hash::FxHashMap;
 
 use crate::table::Table;
-
-/// Equi-join `l` and `r` on the given key columns, returning matching
-/// `(left_row, right_row)` index pairs in left-major order.
-///
-/// Null keys never join (SQL semantics). Keys compare under semantic
-/// equality, so an `integer` column can join a `float` column.
-pub fn hash_join_pairs(l: &Table, lkeys: &[usize], r: &Table, rkeys: &[usize]) -> Vec<(u32, u32)> {
-    hash_join_pairs_guarded(l, lkeys, r, rkeys, QueryGuard::unlimited())
-        .expect("unlimited guard never fires")
-}
 
 /// When one side is at least this many times smaller than the other, the
 /// join builds its hash table on the smaller side (row counts are exact
@@ -23,24 +15,19 @@ pub fn hash_join_pairs(l: &Table, lkeys: &[usize], r: &Table, rkeys: &[usize]) -
 /// amortized by the smaller build.
 const BUILD_SWAP_FACTOR: usize = 4;
 
-/// [`hash_join_pairs`] under query governance: cooperative checks during
-/// build and probe, and the (possibly quadratic) match fan-out charged
-/// against the memory budget as it accumulates.
+/// Equi-join `l` and `r` on the given key columns, returning matching
+/// `(left_row, right_row)` index pairs in left-major order.
+///
+/// Null keys never join (SQL semantics). Keys compare under semantic
+/// equality, so an `integer` column can join a `float` column.
 ///
 /// The output is left-major (ascending left row, then ascending right
 /// row) regardless of which side the hash table is built on — when the
 /// build side is swapped, an order-restoring sort puts the pairs back in
 /// the canonical sequence, so the physical choice is invisible in
 /// results.
-pub fn hash_join_pairs_guarded(
-    l: &Table,
-    lkeys: &[usize],
-    r: &Table,
-    rkeys: &[usize],
-    guard: &QueryGuard,
-) -> Result<Vec<(u32, u32)>> {
+pub fn hash_join_pairs(l: &Table, lkeys: &[usize], r: &Table, rkeys: &[usize]) -> Vec<(u32, u32)> {
     assert_eq!(lkeys.len(), rkeys.len(), "join key arity mismatch");
-    let mut tick = guard.ticker();
     let key_of = |t: &Table, keys: &[usize], i: usize| -> Option<Vec<Value>> {
         let mut key = Vec::with_capacity(keys.len());
         for &c in keys {
@@ -52,55 +39,32 @@ pub fn hash_join_pairs_guarded(
         }
         Some(key)
     };
+    // Build on the right unless the left is much smaller.
+    let swap = l.n_rows() * BUILD_SWAP_FACTOR < r.n_rows();
+    let (build, bkeys, probe, pkeys) = if swap {
+        (l, lkeys, r, rkeys)
+    } else {
+        (r, rkeys, l, lkeys)
+    };
+    let mut index: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
+    for b in 0..build.n_rows() {
+        if let Some(key) = key_of(build, bkeys, b) {
+            index.entry(key).or_default().push(b as u32);
+        }
+    }
     let mut out: Vec<(u32, u32)> = Vec::new();
-    if l.n_rows() * BUILD_SWAP_FACTOR < r.n_rows() {
-        // Left side is much smaller: build on it, probe with the right.
-        let mut index: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
-        for i in 0..l.n_rows() {
-            tick.tick()?;
-            if let Some(key) = key_of(l, lkeys, i) {
-                index.entry(key).or_default().push(i as u32);
-            }
+    for p in 0..probe.n_rows() {
+        let matches = key_of(probe, pkeys, p).and_then(|key| index.get(&key));
+        for &b in matches.into_iter().flatten() {
+            out.push(if swap { (b, p as u32) } else { (p as u32, b) });
         }
-        for j in 0..r.n_rows() {
-            tick.tick()?;
-            if let Some(key) = key_of(r, rkeys, j) {
-                if let Some(matches) = index.get(&key) {
-                    guard.add_bytes(8 * matches.len() as u64)?;
-                    for &i in matches {
-                        out.push((i, j as u32));
-                    }
-                }
-            }
-        }
+    }
+    if swap {
         // Probing right-major emitted right-major pairs; restore the
         // canonical left-major order.
         out.sort_unstable();
-    } else {
-        // Build on the right side.
-        let mut index: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
-        for i in 0..r.n_rows() {
-            tick.tick()?;
-            if let Some(key) = key_of(r, rkeys, i) {
-                index.entry(key).or_default().push(i as u32);
-            }
-        }
-        for i in 0..l.n_rows() {
-            tick.tick()?;
-            if let Some(key) = key_of(l, lkeys, i) {
-                if let Some(matches) = index.get(&key) {
-                    // Duplicate keys fan out multiplicatively; charge the
-                    // fan-out itself so a quadratic join trips the budget,
-                    // not the OOM.
-                    guard.add_bytes(8 * matches.len() as u64)?;
-                    for &j in matches {
-                        out.push((i as u32, j));
-                    }
-                }
-            }
-        }
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]

@@ -10,32 +10,61 @@
 //! | top n | [`top_n`] |
 //! | as x | aliasing is handled at the schema level ([`rename`]) |
 //!
-//! Joins ([`join::hash_join_pairs`]) are not in Table 1 but are required by
-//! edge construction (paper Eq. 2) and by many-to-one vertex mappings.
+//! Each governed operation has **one** entry point, and it is the code
+//! `graql_core::exec` runs: it takes an [`OpCtx`] (guard, optional span
+//! recorder, thread count) and the scan-shaped kernels (filter, sort)
+//! split their input over [`crate::morsel::run_morsels`]. Library callers
+//! with nothing to govern pass `&OpCtx::default()`.
+//!
+//! A pairwise hash join ([`join::hash_join_pairs`]) is not in Table 1 and
+//! nothing in the engine calls it (edge construction, paper Eq. 2, has its
+//! own n-way tuple join in `graql_core::ddl`); it is the ungoverned
+//! two-table library form.
 
 pub mod distinct;
 pub mod filter;
 pub mod group;
 pub mod join;
-pub mod profiled;
 pub mod sort;
 
-pub use distinct::{distinct, distinct_guarded, distinct_indices, distinct_indices_guarded};
-pub use filter::{filter, filter_guarded, filter_indices, filter_indices_guarded};
-pub use group::{
-    group_aggregate, group_aggregate_guarded, group_indices, group_indices_guarded, AggFn, AggSpec,
-};
-pub use join::{hash_join_pairs, hash_join_pairs_guarded};
-pub use profiled::{
-    distinct_profiled, filter_profiled, group_aggregate_profiled, hash_join_pairs_profiled,
-    sort_profiled, top_n_profiled,
-};
-pub use sort::{cmp_rows, sort, sort_guarded, sort_indices, SortKey};
+pub use distinct::{distinct, distinct_indices};
+pub use filter::{filter, filter_indices};
+pub use group::{group_aggregate, group_indices, AggFn, AggSpec};
+pub use join::hash_join_pairs;
+pub use sort::{sort, sort_indices, SortKey};
 
-use graql_types::Result;
+use graql_types::obs::{obs_record_rows, obs_start, Stage};
+use graql_types::{QueryGuard, QueryProfile, Result};
 
 use crate::schema::TableSchema;
 use crate::table::Table;
+
+/// What a kernel runs under: the query's governance guard, its span
+/// recorder when one is armed, and the worker count for morsel-parallel
+/// kernels. The default is ungoverned, unprofiled and inline. Every
+/// governed kernel records one span with its rows in/out when a profile
+/// is armed (a failed call records nothing) and reads no clock otherwise.
+#[derive(Clone, Copy)]
+pub struct OpCtx<'a> {
+    /// Cancellation, deadline and row/byte budgets, checked cooperatively
+    /// by every kernel loop.
+    pub guard: &'a QueryGuard,
+    /// `None` keeps the kernels off the clock entirely.
+    pub obs: Option<&'a QueryProfile>,
+    /// Upper bound on workers; inputs below a kernel's profitability
+    /// floor run inline whatever this says.
+    pub threads: usize,
+}
+
+impl Default for OpCtx<'_> {
+    fn default() -> Self {
+        OpCtx {
+            guard: QueryGuard::unlimited(),
+            obs: None,
+            threads: 1,
+        }
+    }
+}
 
 /// Projection: a new table with the chosen columns, in order.
 pub fn project(t: &Table, cols: &[usize]) -> Table {
@@ -46,10 +75,13 @@ pub fn project(t: &Table, cols: &[usize]) -> Table {
 
 /// `top n`: the first `n` rows of `t` (callers sort first, as in
 /// `select top 10 … order by …`).
-pub fn top_n(t: &Table, n: usize) -> Table {
+pub fn top_n(t: &Table, n: usize, cx: &OpCtx) -> Table {
+    let span = obs_start(cx.obs);
     let n = n.min(t.n_rows());
     let idx: Vec<u32> = (0..n as u32).collect();
-    t.gather(&idx)
+    let out = t.gather(&idx);
+    obs_record_rows(cx.obs, Stage::Top, span, t.n_rows() as u64, n as u64);
+    out
 }
 
 /// `as x`: renames columns (length must equal arity).
@@ -92,9 +124,10 @@ mod tests {
 
     #[test]
     fn top_n_truncates_and_handles_overflow() {
-        assert_eq!(top_n(&t(), 2).n_rows(), 2);
-        assert_eq!(top_n(&t(), 99).n_rows(), 5);
-        assert_eq!(top_n(&t(), 0).n_rows(), 0);
+        let cx = OpCtx::default();
+        assert_eq!(top_n(&t(), 2, &cx).n_rows(), 2);
+        assert_eq!(top_n(&t(), 99, &cx).n_rows(), 5);
+        assert_eq!(top_n(&t(), 0, &cx).n_rows(), 0);
     }
 
     #[test]

@@ -2,8 +2,11 @@
 
 use std::cmp::Ordering;
 
-use graql_types::{QueryGuard, Result};
+use graql_types::obs::{obs_record_rows, obs_start, Stage};
+use graql_types::Result;
 
+use super::OpCtx;
+use crate::morsel;
 use crate::table::Table;
 
 /// One sort key: column index and direction.
@@ -22,13 +25,15 @@ impl SortKey {
     }
 }
 
+/// Inputs below this many rows sort as one inline run.
+const SORT_PAR_MIN: usize = 8192;
+
 /// The sort comparator: `keys` in declared order, ties broken by row
 /// index. The tie-break makes this a *strict total order* on row indices,
-/// which is what lets the morsel-parallel sort in `core::exec` merge
-/// independently sorted runs into exactly the sequence [`sort_indices`]
-/// would produce.
+/// which is what lets [`sort_indices`] merge independently sorted runs
+/// into exactly the sequence one serial sort would produce.
 #[inline]
-pub fn cmp_rows(t: &Table, keys: &[SortKey], a: u32, b: u32) -> Ordering {
+fn cmp_rows(t: &Table, keys: &[SortKey], a: u32, b: u32) -> Ordering {
     for k in keys {
         let col = t.column(k.col);
         let o = col.get(a as usize).cmp_total(&col.get(b as usize));
@@ -42,27 +47,67 @@ pub fn cmp_rows(t: &Table, keys: &[SortKey], a: u32, b: u32) -> Ordering {
 
 /// Row indices of `t` ordered by `keys` (ties broken by original row index,
 /// making the sort stable and deterministic).
-pub fn sort_indices(t: &Table, keys: &[SortKey]) -> Vec<u32> {
-    let mut idx: Vec<u32> = (0..t.n_rows() as u32).collect();
-    idx.sort_unstable_by(|&a, &b| cmp_rows(t, keys, a, b));
-    idx
+///
+/// Run formation is morsel-parallel: each morsel sorts a contiguous run
+/// with [`cmp_rows`], then pairwise merges reassemble the single globally
+/// sorted index. Below [`SORT_PAR_MIN`] (or on one thread) that is one run
+/// sorted inline and no merge. A comparator sort cannot yield mid-run, so
+/// the guard is checked per run and per merge round (input size bounds
+/// the work between checks), and the index vector is charged to the
+/// memory budget.
+pub fn sort_indices(t: &Table, keys: &[SortKey], cx: &OpCtx) -> Result<Vec<u32>> {
+    let n = t.n_rows();
+    let workers = morsel::scan_workers(cx.threads, n, SORT_PAR_MIN);
+    // Two runs per worker so a slow worker's second run can be stolen.
+    let n_runs = if workers > 1 { workers * 2 } else { 1 };
+    let mut runs = morsel::run_morsels(cx.guard, n, n.div_ceil(n_runs), workers, |_, range| {
+        let mut idx: Vec<u32> = (range.start as u32..range.end as u32).collect();
+        idx.sort_unstable_by(|&a, &b| cmp_rows(t, keys, a, b));
+        Ok(idx)
+    })?;
+    while runs.len() > 1 {
+        cx.guard.check()?;
+        let mut merged: Vec<Vec<u32>> = Vec::with_capacity(runs.len().div_ceil(2));
+        let mut it = runs.into_iter();
+        while let Some(a) = it.next() {
+            match it.next() {
+                Some(b) => merged.push(merge_runs(t, keys, a, b)),
+                None => merged.push(a),
+            }
+        }
+        runs = merged;
+    }
+    let idx = runs.pop().unwrap_or_default();
+    cx.guard.add_bytes(4 * idx.len() as u64)?;
+    Ok(idx)
 }
 
-/// Materialized `order by`.
-pub fn sort(t: &Table, keys: &[SortKey]) -> Table {
-    t.gather(&sort_indices(t, keys))
+fn merge_runs(t: &Table, keys: &[SortKey], a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        if cmp_rows(t, keys, a[i], b[j]) != Ordering::Greater {
+            out.push(a[i]);
+            i += 1;
+        } else {
+            out.push(b[j]);
+            j += 1;
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
-/// [`sort`] under query governance. Comparator-based sorts cannot yield
-/// mid-sort, so the checkpoints bracket the sort (input size bounds the
-/// work) and the index vector + output are charged to the memory budget.
-pub fn sort_guarded(t: &Table, keys: &[SortKey], guard: &QueryGuard) -> Result<Table> {
-    guard.check()?;
-    let idx = sort_indices(t, keys);
-    guard.add_bytes(4 * idx.len() as u64)?;
-    guard.check()?;
+/// Materialized `order by`; the output is charged to the memory budget.
+pub fn sort(t: &Table, keys: &[SortKey], cx: &OpCtx) -> Result<Table> {
+    let span = obs_start(cx.obs);
+    let idx = sort_indices(t, keys, cx)?;
+    cx.guard.check()?;
     let out = t.gather(&idx);
-    guard.add_bytes(out.approx_bytes())?;
+    cx.guard.add_bytes(out.approx_bytes())?;
+    let n = t.n_rows() as u64;
+    obs_record_rows(cx.obs, Stage::Sort, span, n, n);
     Ok(out)
 }
 
@@ -88,7 +133,7 @@ mod tests {
 
     #[test]
     fn single_key_ascending() {
-        let s = sort(&t(), &[SortKey::asc(1)]);
+        let s = sort(&t(), &[SortKey::asc(1)], &OpCtx::default()).unwrap();
         // Nulls sort first under the total order.
         let xs: Vec<Value> = (0..4).map(|i| s.get(i, 1)).collect();
         assert_eq!(
@@ -99,7 +144,12 @@ mod tests {
 
     #[test]
     fn multi_key_with_direction() {
-        let s = sort(&t(), &[SortKey::asc(0), SortKey::desc(1)]);
+        let s = sort(
+            &t(),
+            &[SortKey::asc(0), SortKey::desc(1)],
+            &OpCtx::default(),
+        )
+        .unwrap();
         let rows: Vec<(Value, Value)> = (0..4).map(|i| (s.get(i, 0), s.get(i, 1))).collect();
         assert_eq!(
             rows,
@@ -124,7 +174,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let s = sort(&t, &[SortKey::asc(0)]);
+        let s = sort(&t, &[SortKey::asc(0)], &OpCtx::default()).unwrap();
         assert_eq!(
             s.get(1, 1),
             Value::Int(100),
@@ -138,9 +188,18 @@ mod tests {
         let schema = TableSchema::of(&[("x", DataType::Integer)]);
         let n = 20_000i64;
         let t = Table::from_rows(schema, (0..n).map(|i| vec![Value::Int((n - i) % 997)])).unwrap();
-        let s = sort(&t, &[SortKey::asc(0)]);
+        let cx = OpCtx {
+            threads: 4,
+            ..OpCtx::default()
+        };
+        let s = sort(&t, &[SortKey::asc(0)], &cx).unwrap();
         for i in 1..n as usize {
             assert!(s.get(i - 1, 0).cmp_total(&s.get(i, 0)) != std::cmp::Ordering::Greater);
         }
+        let serial = sort(&t, &[SortKey::asc(0)], &OpCtx::default()).unwrap();
+        assert!(
+            s.iter_rows().eq(serial.iter_rows()),
+            "merged runs equal the one-run sort"
+        );
     }
 }

@@ -1,11 +1,14 @@
-//! Kernel laws: every relational kernel must agree with a naive reference
-//! implementation on arbitrary inputs.
+//! Kernel laws: every relational kernel — the one entry point per
+//! operation that the engine runs — must agree with a naive reference
+//! implementation on arbitrary inputs, and must record its stage on an
+//! armed profile.
 
 use std::collections::{BTreeMap, HashSet};
 
-use graql_table::ops;
+use graql_table::ops::{self, OpCtx};
 use graql_table::{PhysExpr, Table, TableSchema};
-use graql_types::{CmpOp, DataType, Value};
+use graql_types::obs::Stage;
+use graql_types::{CmpOp, DataType, ProfileReport, QueryGuard, QueryProfile, Value};
 use proptest::prelude::*;
 
 fn schema() -> TableSchema {
@@ -33,7 +36,7 @@ proptest! {
     fn filter_law(rows in arb_table(), threshold in -50i64..50) {
         let t = build(&rows);
         let pred = PhysExpr::cmp_col_const(1, CmpOp::Ge, Value::Int(threshold));
-        let got = ops::filter(&t, &pred);
+        let got = ops::filter(&t, &pred, &OpCtx::default()).unwrap();
         let expected: Vec<&(i64, Option<i64>)> =
             rows.iter().filter(|(_, v)| v.is_some_and(|v| v >= threshold)).collect();
         prop_assert_eq!(got.n_rows(), expected.len());
@@ -47,7 +50,7 @@ proptest! {
     #[test]
     fn sort_law(rows in arb_table()) {
         let t = build(&rows);
-        let got = ops::sort(&t, &[ops::SortKey::asc(1)]);
+        let got = ops::sort(&t, &[ops::SortKey::asc(1)], &OpCtx::default()).unwrap();
         let mut expected: Vec<(usize, &(i64, Option<i64>))> = rows.iter().enumerate().collect();
         expected.sort_by(|(ia, (_, va)), (ib, (_, vb))| {
             // Nulls first, then value, then original index (stability).
@@ -67,7 +70,7 @@ proptest! {
     #[test]
     fn distinct_law(rows in arb_table()) {
         let t = build(&rows);
-        let got = ops::distinct(&t);
+        let got = ops::distinct(&t, &OpCtx::default()).unwrap();
         let mut seen = HashSet::new();
         let expected: Vec<&(i64, Option<i64>)> =
             rows.iter().filter(|r| seen.insert(**r)).collect();
@@ -91,6 +94,7 @@ proptest! {
                 ops::AggSpec::new(ops::AggFn::Min(1), "lo"),
                 ops::AggSpec::new(ops::AggFn::Max(1), "hi"),
             ],
+            &OpCtx::default(),
         )
         .unwrap();
         #[derive(Default)]
@@ -153,7 +157,8 @@ proptest! {
     #[test]
     fn top_n_law(rows in arb_table(), n in 0usize..20) {
         let t = build(&rows);
-        let got = ops::top_n(&ops::sort(&t, &[ops::SortKey::desc(0)]), n);
+        let cx = OpCtx::default();
+        let got = ops::top_n(&ops::sort(&t, &[ops::SortKey::desc(0)], &cx).unwrap(), n, &cx);
         let mut keys: Vec<i64> = rows.iter().map(|(k, _)| *k).collect();
         keys.sort_unstable_by(|a, b| b.cmp(a));
         keys.truncate(n);
@@ -161,4 +166,47 @@ proptest! {
             (0..got.n_rows()).map(|r| got.get(r, 0).as_int().unwrap()).collect();
         prop_assert_eq!(got_keys, keys);
     }
+}
+
+/// Every governed kernel records exactly one span with its row flow on an
+/// armed profile, and computes the same table with none armed (the
+/// `None` path never reads a clock, so there is nothing to observe but
+/// the answer).
+#[test]
+fn armed_profile_records_rows_in_and_out_per_stage() {
+    let rows: Vec<(i64, Option<i64>)> = (0..10).map(|i| (i % 3, Some(i))).collect();
+    let t = build(&rows);
+    let pred = PhysExpr::cmp_col_const(1, CmpOp::Ge, Value::Int(4));
+    let aggs = [ops::AggSpec::new(ops::AggFn::CountStar, "n")];
+    let run = |cx: &OpCtx| {
+        let filtered = ops::filter(&t, &pred, cx).unwrap();
+        let keys = ops::project(&filtered, &[0]);
+        let distinct = ops::distinct(&keys, cx).unwrap();
+        let grouped = ops::group_aggregate(&filtered, &[0], &aggs, cx).unwrap();
+        let sorted = ops::sort(&grouped, &[ops::SortKey::desc(0)], cx).unwrap();
+        let top = ops::top_n(&sorted, 2, cx);
+        (distinct.n_rows(), top.iter_rows().collect::<Vec<_>>())
+    };
+    let profile = QueryProfile::new();
+    let armed = run(&OpCtx {
+        guard: QueryGuard::unlimited(),
+        obs: Some(&profile),
+        threads: 1,
+    });
+    let report = ProfileReport::seal(String::new(), String::new(), &profile, 0, 0);
+    let flow: Vec<(Stage, u64, u64, u64)> = report
+        .stages
+        .iter()
+        .map(|l| (l.stage, l.calls, l.rows_in, l.rows_out))
+        .collect();
+    // Reports list stages in `Stage::ALL` order, not call order.
+    let expected = vec![
+        (Stage::Filter, 1, 10, 6),
+        (Stage::Aggregate, 1, 6, 3),
+        (Stage::Distinct, 1, 6, 3),
+        (Stage::Sort, 1, 3, 3),
+        (Stage::Top, 1, 3, 2),
+    ];
+    assert_eq!(flow, expected);
+    assert_eq!(run(&OpCtx::default()), armed);
 }

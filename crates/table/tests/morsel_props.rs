@@ -15,7 +15,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use graql_core::exec::morsel;
+use graql_table::morsel;
 use graql_types::{GraqlError, QueryBudget, QueryGuard};
 use proptest::prelude::*;
 

@@ -68,7 +68,7 @@ pub const FAULT_MATRIX: &[FaultCase] = &[
     // Governance: a fault at the per-batch guard checkpoint aborts the
     // query mid-kernel with a typed error; the engine must stay usable.
     case("core/exec/batch", "1*err"),
-    // Morsel scheduler faults (crates/core/src/exec/morsel.rs): `dispatch`
+    // Morsel scheduler faults (crates/table/src/morsel.rs): `dispatch`
     // fires inside a morsel claim (from a worker thread when threads > 1),
     // `merge` fires on the caller thread just before slot reassembly. Both
     // must abort the query with one typed error and leave the server up.

@@ -106,7 +106,7 @@ pub fn top_n(t: &Table, n: usize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graql_table::ops;
+    use graql_table::ops::{self, OpCtx};
     use graql_table::TableSchema;
     use graql_types::{CmpOp, DataType};
 
@@ -137,20 +137,30 @@ mod tests {
             Box::new(PhysExpr::Col(0)),
             Box::new(PhysExpr::Const(Value::Int(1))),
         );
-        assert_eq!(filter_indices(&t, &pred), ops::filter_indices(&t, &pred));
+        let cx = OpCtx::default();
+        let picked = filter_indices(&t, &pred);
+        assert_eq!(picked, ops::filter_indices(&t, &pred));
+        let engine = ops::filter(&t, &pred, &cx).unwrap();
+        assert!(t.gather(&picked).iter_rows().eq(engine.iter_rows()));
         assert_eq!(
             join_pairs(&t, &[0], &t, &[0]),
             ops::hash_join_pairs(&t, &[0], &t, &[0])
         );
-        assert_eq!(group_indices(&t, &[0]), ops::group_indices(&t, &[0]));
+        assert_eq!(
+            group_indices(&t, &[0]),
+            ops::group_indices(&t, &[0], &cx).unwrap()
+        );
         let keys = [SortKey::asc(0), SortKey::desc(1)];
-        assert_eq!(sort_indices(&t, &keys), ops::sort_indices(&t, &keys));
+        assert_eq!(
+            sort_indices(&t, &keys),
+            ops::sort_indices(&t, &keys, &cx).unwrap()
+        );
         assert_eq!(
             distinct_indices(&t, &[0, 2]),
-            ops::distinct_indices(&t, &[0, 2])
+            ops::distinct_indices(&t, &[0, 2], &cx).unwrap()
         );
         let topped = top_n(&t, 3);
-        let engine = ops::top_n(&t, 3);
+        let engine = ops::top_n(&t, 3, &cx);
         assert_eq!(topped.n_rows(), engine.n_rows());
         for r in 0..3 {
             assert_eq!(topped.row(r), engine.row(r));

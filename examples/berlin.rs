@@ -85,7 +85,7 @@ fn main() -> Result<()> {
     println!("\n=== Fig. 13: a matching subgraph as a table (first 5 rows) ===");
     db.execute_script(queries::fig13())?;
     if let Some(t) = db.result_table("resultsT") {
-        let head = graql::table::ops::top_n(t, 5);
+        let head = graql::table::ops::top_n(t, 5, &Default::default());
         println!("{} rows total; head:\n{}", t.n_rows(), head.render());
     }
 
@@ -96,7 +96,10 @@ fn main() -> Result<()> {
     )?;
     if let StmtOutput::Table(t) = out {
         println!("{} export country pairs; head:", t.n_rows());
-        println!("{}", graql::table::ops::top_n(&t, 5).render());
+        println!(
+            "{}",
+            graql::table::ops::top_n(&t, 5, &Default::default()).render()
+        );
     }
     Ok(())
 }
