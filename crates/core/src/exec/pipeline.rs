@@ -265,6 +265,7 @@ pub fn execute_fused(
     }
     let schema = TableSchema::new(defs)?;
     let mut out = Table::empty(schema);
+    let mut rows = out.appender();
     for key in &order {
         let acc = &groups[key];
         let row: Vec<Value> = slots
@@ -295,8 +296,9 @@ pub fn execute_fused(
                 },
             })
             .collect();
-        out.push_row(&row)?;
+        rows.push_row(&row)?;
     }
+    drop(rows);
 
     // Consumer's order by / top n (kept at the end of execute_fused),
     // governed and profiled like the unfused statement's.

@@ -419,14 +419,16 @@ fn project_table(ctx: &ExecCtx<'_>, qr: &QueryRun, sel: &ast::SelectStmt) -> Res
 
     let span = obs_start(ctx.obs);
     let mut ticker = ctx.guard.ticker();
+    let mut rows = out.appender();
     for mb in bindings {
         ticker.tick()?;
         let row = cols
             .iter()
             .map(|c| value_of(ctx, qr, mb, c))
             .collect::<Result<Vec<_>>>()?;
-        out.push_row(&row)?;
+        rows.push_row(&row)?;
     }
+    drop(rows);
     if let Some(p) = ctx.obs {
         p.add_guard_ticks(ticker.checkpoints());
     }

@@ -950,6 +950,7 @@ fn stmt_is_logged(stmt: &Stmt) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graql_table::Table;
     use graql_types::Value;
 
     fn server() -> Server {
@@ -1082,6 +1083,43 @@ mod tests {
         // The pinned epoch still sees exactly the old rows.
         assert_eq!(before.table("T").unwrap().n_rows(), 3);
         assert_eq!(s.snapshot().table("T").unwrap().n_rows(), 5);
+    }
+
+    #[test]
+    fn unfiltered_select_shares_storage_until_the_table_is_written() {
+        let s = server();
+        let mut sess = s.connect("admin").unwrap();
+        let outs = sess
+            .execute_script("select * from table T into table R")
+            .unwrap();
+        let StmtOutput::Table(reply) = &outs[0] else {
+            panic!("a table select answers with a table");
+        };
+        let pinned = s.snapshot();
+        let shares = |t: &Table, db: &Database| {
+            Arc::ptr_eq(t.shared_column(0), db.table("T").unwrap().shared_column(0))
+        };
+        // The reply, the captured result and the stored table are one column.
+        assert!(shares(reply, &pinned));
+        assert!(shares(pinned.result_table("R").unwrap(), &pinned));
+
+        // A write to T copies it; everything that shared the old column
+        // (the pinned epoch, R in the new epoch, the reply) keeps it.
+        s.database_mut().ingest_str("T", "4\n5\n").unwrap();
+        let now = s.snapshot();
+        assert_eq!(now.table("T").unwrap().n_rows(), 5);
+        assert!(!shares(pinned.table("T").unwrap(), &now));
+        for t in [
+            reply,
+            now.result_table("R").unwrap(),
+            pinned.table("T").unwrap(),
+        ] {
+            assert!(shares(t, &pinned));
+            assert_eq!(
+                t.iter_rows().flatten().collect::<Vec<_>>(),
+                [Value::Int(1), Value::Int(2), Value::Int(3)]
+            );
+        }
     }
 
     #[test]

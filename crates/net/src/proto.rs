@@ -20,13 +20,36 @@
 //! control traffic (handshake, ping, goodbye) uses whatever id its
 //! initiator chose — replies simply echo it. Replication stream frames
 //! carry the subscribe request's id.
+//!
+//! # Table results (protocol version 6)
+//!
+//! A result table travels as `TableHeader`, zero or more `TableRows`,
+//! `TableEnd`. A `TableRows` payload is a **column batch**
+//! ([`ColumnBatch`], at most [`BATCH_ROWS`] rows), cut from the result's
+//! columns by `Table::batches` and appended to the client's table by
+//! `Table::append_batch` — no cell is materialized on either side:
+//!
+//! ```text
+//! varint n_rows, varint n_cols, then per column:
+//!   u8      kind (0 integer, 1 float, 2 varchar, 3 date) | 0x80 if any row is null
+//!   [u8]    null bitmap, ceil(n_rows / 8) bytes, bit i%8 of byte i/8 = row i — only with 0x80
+//!   integer n_rows × i64 LE          float  n_rows × f64 bit pattern LE
+//!   date    n_rows × i32 LE (days)   (a null row holds a placeholder 0)
+//!   varchar varint n_entries, n_entries × varint len, the entries' UTF-8 bytes end to end,
+//!           n_rows × u32 LE codes
+//! ```
+//!
+//! A varchar column's dictionary is scoped to the reply: codes are
+//! assigned in order of first use across the whole table stream, and each
+//! batch's *dictionary page* holds only the entries it introduces, so a
+//! string crosses the wire once per reply however often it repeats.
+//! Varints are LEB128 `u32`s, which keeps a one-row reply no larger than
+//! its cell-by-cell protocol-5 form.
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 use graql_core::{Role, SessionOutput};
-use graql_table::{ColumnDef, Table, TableSchema};
-use graql_types::{
-    codes, DataType, Date, Diagnostic, Diagnostics, GraqlError, Result, Severity, Span, Value,
-};
+use graql_table::{BatchColumn, BitSet, ColumnBatch, ColumnDef, Table, TableSchema};
+use graql_types::{codes, DataType, Diagnostic, Diagnostics, GraqlError, Result, Severity, Span};
 
 /// Protocol version spoken by this build. Bump on any incompatible change
 /// to [`Msg`] encoding. Version 2 added [`Msg::Cancel`] and the
@@ -39,14 +62,19 @@ use graql_types::{
 /// status (15) carrying the primary's address; version 5 prefixed every
 /// frame payload with a `u64`-LE request id (pipelined multiplexing —
 /// see the module docs) and redefined [`Msg::Cancel`] to target the id
-/// it is tagged with (id 0 = cancel everything in flight).
-pub const PROTO_VERSION: u16 = 5;
+/// it is tagged with (id 0 = cancel everything in flight); version 6
+/// replaced the cell-by-cell [`Msg::TableRows`] payload with a column
+/// batch and a reply-scoped string dictionary (module docs, "Table
+/// results"). The handshake demands equal versions, so there is no
+/// fallback to an older table encoding.
+pub const PROTO_VERSION: u16 = 6;
 
 /// Magic opening every `Hello` payload, so a non-GraQL peer (or a stale
 /// client) fails the handshake loudly instead of being misparsed.
 pub const MAGIC: &[u8; 4] = b"GNET";
 
-/// Rows per `TableRows` batch when streaming a result table.
+/// Rows per `TableRows` batch when streaming a result table. A multiple
+/// of 64, so every batch's null mask starts on a word boundary.
 pub const BATCH_ROWS: usize = 512;
 
 /// One structured diagnostic on the wire (severity, stable code, message,
@@ -127,8 +155,8 @@ pub enum Msg {
     Ingested { table: String, rows: u64 },
     /// A table result begins: its schema. Rows follow in batches.
     TableHeader { cols: Vec<(String, DataType)> },
-    /// One batch of rows of the current table result.
-    TableRows { rows: Vec<Vec<Value>> },
+    /// One batch of rows of the current table result, in columnar form.
+    TableRows { rows: ColumnBatch },
     /// The current table result is complete.
     TableEnd,
     /// A subgraph result (by size + pre-rendered summary line).
@@ -180,7 +208,7 @@ pub enum Msg {
 
 // -- low-level helpers (same shapes as the IR codec) -------------------------
 
-fn put_str(b: &mut BytesMut, s: &str) {
+fn put_str(b: &mut Vec<u8>, s: &str) {
     b.put_u32_le(s.len() as u32);
     b.put_slice(s.as_bytes());
 }
@@ -222,54 +250,207 @@ fn get_u64(buf: &mut &[u8]) -> Result<u64> {
     Ok(u64::from_le_bytes(a))
 }
 
-fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>> {
-    let n = get_u32(buf)? as usize;
+/// The next `n` bytes, checked against what is left before anything is
+/// allocated for them.
+fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
     if buf.len() < n {
         return Err(GraqlError::net("truncated message payload"));
     }
-    let v = buf[..n].to_vec();
-    *buf = &buf[n..];
-    Ok(v)
+    let (head, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(head)
+}
+
+fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>> {
+    let n = get_u32(buf)? as usize;
+    Ok(take(buf, n)?.to_vec())
 }
 
 fn get_str(buf: &mut &[u8]) -> Result<String> {
     String::from_utf8(get_bytes(buf)?).map_err(|_| GraqlError::net("invalid UTF-8 in message"))
 }
 
-fn put_value(b: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Null => b.put_u8(0),
-        Value::Int(i) => {
-            b.put_u8(1);
-            b.put_i64_le(*i);
+// -- column batches ------------------------------------------------------------
+
+/// LEB128 `u32`: seven bits per byte, low group first.
+fn put_varint(b: &mut Vec<u8>, mut v: u32) {
+    while v >= 0x80 {
+        b.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    b.put_u8(v as u8);
+}
+
+fn get_varint(buf: &mut &[u8]) -> Result<u32> {
+    let mut v = 0u32;
+    for shift in (0..32).step_by(7) {
+        let byte = get_u8(buf)?;
+        let bits = u32::from(byte & 0x7f);
+        if shift == 28 && bits > 0xf {
+            break;
         }
-        Value::Float(f) => {
-            b.put_u8(2);
-            b.put_u64_le(f.to_bits());
+        v |= bits << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
         }
-        Value::Str(s) => {
-            b.put_u8(3);
-            put_str(b, s);
+    }
+    Err(GraqlError::net("varint exceeds 32 bits"))
+}
+
+/// Appends `data` as fixed-width little-endian values.
+fn put_le<T: Copy, const W: usize>(b: &mut Vec<u8>, data: &[T], le: impl Fn(T) -> [u8; W]) {
+    let at = b.len();
+    b.resize(at + data.len() * W, 0);
+    for (dst, &v) in b[at..].chunks_exact_mut(W).zip(data) {
+        dst.copy_from_slice(&le(v));
+    }
+}
+
+/// Reads `n` fixed-width little-endian values.
+fn get_le<T, const W: usize>(
+    buf: &mut &[u8],
+    n: usize,
+    le: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>> {
+    let len = n
+        .checked_mul(W)
+        .ok_or_else(|| GraqlError::net("column length overflows"))?;
+    Ok(take(buf, len)?
+        .chunks_exact(W)
+        .map(|c| le(c.try_into().expect("chunks_exact yields W bytes")))
+        .collect())
+}
+
+const KIND_INT: u8 = 0;
+const KIND_FLOAT: u8 = 1;
+const KIND_STR: u8 = 2;
+const KIND_DATE: u8 = 3;
+const HAS_NULLS: u8 = 0x80;
+
+fn put_batch(b: &mut Vec<u8>, batch: &ColumnBatch) {
+    put_varint(b, batch.n_rows as u32);
+    put_varint(b, batch.columns.len() as u32);
+    for col in &batch.columns {
+        let (kind, nulls) = match col {
+            BatchColumn::Int { nulls, .. } => (KIND_INT, nulls),
+            BatchColumn::Float { nulls, .. } => (KIND_FLOAT, nulls),
+            BatchColumn::Str { nulls, .. } => (KIND_STR, nulls),
+            BatchColumn::Date { nulls, .. } => (KIND_DATE, nulls),
+        };
+        if nulls.none() {
+            b.put_u8(kind);
+        } else {
+            b.put_u8(kind | HAS_NULLS);
+            let at = b.len();
+            put_le(b, nulls.words(), u64::to_le_bytes);
+            b.truncate(at + nulls.len().div_ceil(8));
         }
-        Value::Date(d) => {
-            b.put_u8(4);
-            b.put_i32_le(d.days());
+        match col {
+            BatchColumn::Int { data, .. } => put_le(b, data, i64::to_le_bytes),
+            BatchColumn::Float { data, .. } => put_le(b, data, f64::to_le_bytes),
+            BatchColumn::Date { data, .. } => put_le(b, data, i32::to_le_bytes),
+            BatchColumn::Str {
+                page, ends, codes, ..
+            } => {
+                put_varint(b, ends.len() as u32);
+                let mut at = 0;
+                for &end in ends {
+                    put_varint(b, end - at);
+                    at = end;
+                }
+                b.put_slice(page.as_bytes());
+                put_le(b, codes, u32::to_le_bytes);
+            }
         }
     }
 }
 
-fn get_value(buf: &mut &[u8]) -> Result<Value> {
-    Ok(match get_u8(buf)? {
-        0 => Value::Null,
-        1 => Value::Int(get_u64(buf)? as i64),
-        2 => Value::Float(f64::from_bits(get_u64(buf)?)),
-        3 => Value::str(get_str(buf)?),
-        4 => Value::Date(Date(get_u32(buf)? as i32)),
-        t => return Err(GraqlError::net(format!("bad value tag {t}"))),
-    })
+/// Decodes a column batch. Stateless, so what it can check is the frame
+/// against itself: every count is bounded by the bytes that remain
+/// before anything is allocated for it, every column holds exactly
+/// `n_rows` rows, strings are UTF-8. What needs the stream — column
+/// types against the `TableHeader`, codes against the dictionary so far
+/// — is checked where the batch is appended ([`TableAssembler`]).
+fn get_batch(buf: &mut &[u8]) -> Result<ColumnBatch> {
+    let n_rows = get_varint(buf)? as usize;
+    let n_cols = get_varint(buf)? as usize;
+    // A column is a kind byte at least.
+    if n_cols > buf.len() {
+        return Err(GraqlError::net("truncated message payload"));
+    }
+    if n_cols == 0 && n_rows != 0 {
+        return Err(GraqlError::net("table batch has rows but no columns"));
+    }
+    let mut columns = Vec::with_capacity(n_cols);
+    for _ in 0..n_cols {
+        let head = get_u8(buf)?;
+        let kind = head & !HAS_NULLS;
+        let width = match kind {
+            KIND_INT | KIND_FLOAT => 8,
+            KIND_STR | KIND_DATE => 4,
+            k => return Err(GraqlError::net(format!("bad column kind {k}"))),
+        };
+        // A row is `width` bytes of this column at least: bounds the null
+        // mask and the value vector before either is allocated.
+        if n_rows.saturating_mul(width) > buf.len() {
+            return Err(GraqlError::net("truncated message payload"));
+        }
+        let nulls = if head & HAS_NULLS == 0 {
+            BitSet::new(n_rows)
+        } else {
+            let words = take(buf, n_rows.div_ceil(8))?
+                .chunks(8)
+                .map(|c| {
+                    let mut word = [0u8; 8];
+                    word[..c.len()].copy_from_slice(c);
+                    u64::from_le_bytes(word)
+                })
+                .collect();
+            BitSet::from_words(words, n_rows).expect("one word per 64 rows")
+        };
+        columns.push(match kind {
+            KIND_INT => BatchColumn::Int {
+                data: get_le(buf, n_rows, i64::from_le_bytes)?,
+                nulls,
+            },
+            KIND_FLOAT => BatchColumn::Float {
+                data: get_le(buf, n_rows, f64::from_le_bytes)?,
+                nulls,
+            },
+            KIND_DATE => BatchColumn::Date {
+                data: get_le(buf, n_rows, i32::from_le_bytes)?,
+                nulls,
+            },
+            _ => {
+                let n_entries = get_varint(buf)? as usize;
+                // An entry is a length byte at least.
+                if n_entries > buf.len() {
+                    return Err(GraqlError::net("truncated message payload"));
+                }
+                let mut ends = Vec::with_capacity(n_entries);
+                let mut at = 0u32;
+                for _ in 0..n_entries {
+                    at = at
+                        .checked_add(get_varint(buf)?)
+                        .filter(|&end| end as usize <= buf.len())
+                        .ok_or_else(|| GraqlError::net("truncated message payload"))?;
+                    ends.push(at);
+                }
+                let page = std::str::from_utf8(take(buf, at as usize)?)
+                    .map_err(|_| GraqlError::net("invalid UTF-8 in message"))?;
+                BatchColumn::Str {
+                    page: page.to_string(),
+                    ends,
+                    codes: get_le(buf, n_rows, u32::from_le_bytes)?,
+                    nulls,
+                }
+            }
+        });
+    }
+    Ok(ColumnBatch { n_rows, columns })
 }
 
-fn put_dtype(b: &mut BytesMut, dt: DataType) {
+fn put_dtype(b: &mut Vec<u8>, dt: DataType) {
     match dt {
         DataType::Integer => b.put_u8(0),
         DataType::Float => b.put_u8(1),
@@ -297,28 +478,28 @@ fn get_dtype(buf: &mut &[u8]) -> Result<DataType> {
 /// the protocol-4 shape, still used by the codec tests and as the tail of
 /// every tagged frame).
 pub fn encode(msg: &Msg) -> Vec<u8> {
-    let mut b = BytesMut::new();
+    let mut b = Vec::new();
     encode_into(&mut b, msg);
-    b.to_vec()
+    b
 }
 
-/// Encodes a protocol-5 frame payload: `u64`-LE `request_id`, then the
-/// message bytes. The inverse of [`decode_tagged`].
+/// Encodes a frame payload: `u64`-LE `request_id`, then the message
+/// bytes. The inverse of [`decode_tagged`].
 pub fn encode_tagged(request_id: u64, msg: &Msg) -> Vec<u8> {
-    let mut b = BytesMut::new();
+    let mut b = Vec::new();
     b.put_u64_le(request_id);
     encode_into(&mut b, msg);
-    b.to_vec()
+    b
 }
 
-/// Splits a protocol-5 frame payload into its request id and message.
+/// Splits a frame payload into its request id and message.
 pub fn decode_tagged(data: &[u8]) -> Result<(u64, Msg)> {
     let mut buf = data;
     let id = get_u64(&mut buf)?;
     Ok((id, decode(buf)?))
 }
 
-fn encode_into(b: &mut BytesMut, msg: &Msg) {
+fn encode_into(b: &mut Vec<u8>, msg: &Msg) {
     match msg {
         Msg::Hello { proto, user } => {
             b.put_u8(0);
@@ -388,13 +569,7 @@ fn encode_into(b: &mut BytesMut, msg: &Msg) {
         }
         Msg::TableRows { rows } => {
             b.put_u8(21);
-            b.put_u32_le(rows.len() as u32);
-            for row in rows {
-                b.put_u32_le(row.len() as u32);
-                for v in row {
-                    put_value(b, v);
-                }
-            }
+            put_batch(b, rows);
         }
         Msg::TableEnd => b.put_u8(22),
         Msg::Subgraph {
@@ -532,19 +707,9 @@ pub fn decode(mut data: &[u8]) -> Result<Msg> {
             }
             Msg::TableHeader { cols }
         }
-        21 => {
-            let n = get_u32(buf)? as usize;
-            let mut rows = Vec::with_capacity(n.min(BATCH_ROWS));
-            for _ in 0..n {
-                let w = get_u32(buf)? as usize;
-                let mut row = Vec::with_capacity(w.min(1024));
-                for _ in 0..w {
-                    row.push(get_value(buf)?);
-                }
-                rows.push(row);
-            }
-            Msg::TableRows { rows }
-        }
+        21 => Msg::TableRows {
+            rows: get_batch(buf)?,
+        },
         22 => Msg::TableEnd,
         23 => Msg::Subgraph {
             n_vertices: get_u64(buf)?,
@@ -628,105 +793,65 @@ pub fn error_msg(e: &GraqlError) -> Msg {
     }
 }
 
-/// The message sequence for one statement output: header + row batches +
-/// end for tables, single messages otherwise.
-pub fn output_msgs(out: &SessionOutput) -> Vec<Msg> {
+/// Hands `emit` the message sequence for one statement output: header +
+/// column batches + end for tables, single messages otherwise. A batch
+/// is cut from the result's columns only when its turn comes, so a
+/// caller that encodes as it goes holds one batch at a time.
+fn each_output_msg(out: &SessionOutput, mut emit: impl FnMut(Msg)) {
     match out {
-        SessionOutput::Created(name) => vec![Msg::Created { name: name.clone() }],
-        SessionOutput::Ingested { table, rows } => vec![Msg::Ingested {
+        SessionOutput::Created(name) => emit(Msg::Created { name: name.clone() }),
+        SessionOutput::Ingested { table, rows } => emit(Msg::Ingested {
             table: table.clone(),
             rows: *rows,
-        }],
+        }),
         SessionOutput::Table(t) => {
-            let mut msgs = vec![Msg::TableHeader {
+            emit(Msg::TableHeader {
                 cols: t
                     .schema()
                     .columns()
                     .iter()
                     .map(|c| (c.name.clone(), c.dtype))
                     .collect(),
-            }];
-            let mut batch = Vec::with_capacity(BATCH_ROWS.min(t.n_rows()));
-            for r in 0..t.n_rows() {
-                batch.push(t.row(r));
-                if batch.len() == BATCH_ROWS {
-                    msgs.push(Msg::TableRows {
-                        rows: std::mem::take(&mut batch),
-                    });
-                }
+            });
+            for rows in t.batches(BATCH_ROWS) {
+                emit(Msg::TableRows { rows });
             }
-            if !batch.is_empty() {
-                msgs.push(Msg::TableRows { rows: batch });
-            }
-            msgs.push(Msg::TableEnd);
-            msgs
+            emit(Msg::TableEnd);
         }
         SessionOutput::Subgraph {
             n_vertices,
             n_edges,
             summary,
-        } => vec![Msg::Subgraph {
+        } => emit(Msg::Subgraph {
             n_vertices: *n_vertices,
             n_edges: *n_edges,
             summary: summary.clone(),
-        }],
-        SessionOutput::Pipelined => vec![Msg::Pipelined],
-        SessionOutput::Profile { text, json } => vec![Msg::ProfileReport {
+        }),
+        SessionOutput::Pipelined => emit(Msg::Pipelined),
+        SessionOutput::Profile { text, json } => emit(Msg::ProfileReport {
             text: text.clone(),
             json: json.clone(),
-        }],
+        }),
     }
 }
 
-/// The tagged frame payloads for one statement output — the protocol-5
-/// serve path. Table results are streamed straight out of the column
-/// store: each `TableRows` frame is encoded cell by cell from the
-/// result's columns (string cells are `Arc` clones out of the column
-/// dictionary), with no per-row `Vec<Value>` and no batch
-/// `Vec<Vec<Value>>` materialization. Byte-identical to tagging every
-/// message of [`output_msgs`] — asserted by the codec tests.
+/// The message sequence for one statement output.
+pub fn output_msgs(out: &SessionOutput) -> Vec<Msg> {
+    let mut msgs = Vec::new();
+    each_output_msg(out, |m| msgs.push(m));
+    msgs
+}
+
+/// The tagged frame payloads for one statement output — the serve path:
+/// every message of [`output_msgs`], encoded as it is produced.
 pub fn output_frames(request_id: u64, out: &SessionOutput) -> Vec<Vec<u8>> {
-    let SessionOutput::Table(t) = out else {
-        return output_msgs(out)
-            .iter()
-            .map(|m| encode_tagged(request_id, m))
-            .collect();
-    };
-    let n_rows = t.n_rows();
-    let n_cols = t.schema().columns().len();
-    let mut frames = Vec::with_capacity(2 + n_rows.div_ceil(BATCH_ROWS.max(1)));
-    frames.push(encode_tagged(
-        request_id,
-        &Msg::TableHeader {
-            cols: t
-                .schema()
-                .columns()
-                .iter()
-                .map(|c| (c.name.clone(), c.dtype))
-                .collect(),
-        },
-    ));
-    let mut start = 0;
-    while start < n_rows {
-        let end = (start + BATCH_ROWS).min(n_rows);
-        let mut b = BytesMut::with_capacity(13 + (end - start) * (4 + 9 * n_cols));
-        b.put_u64_le(request_id);
-        b.put_u8(21); // Msg::TableRows
-        b.put_u32_le((end - start) as u32);
-        for r in start..end {
-            b.put_u32_le(n_cols as u32);
-            for c in 0..n_cols {
-                put_value(&mut b, &t.get(r, c));
-            }
-        }
-        frames.push(b.to_vec());
-        start = end;
-    }
-    frames.push(encode_tagged(request_id, &Msg::TableEnd));
+    let mut frames = Vec::new();
+    each_output_msg(out, |m| frames.push(encode_tagged(request_id, &m)));
     frames
 }
 
-/// Rebuilds a table from a streamed header + row batches.
+/// Rebuilds a table from a streamed header + column batches. Its string
+/// dictionaries are the reply's, so batch codes are stored as they come.
 #[derive(Debug)]
 pub struct TableAssembler {
     table: Table,
@@ -740,11 +865,14 @@ impl TableAssembler {
         })
     }
 
-    pub fn push_rows(&mut self, rows: &[Vec<Value>]) -> Result<()> {
-        for row in rows {
-            self.table.push_row(row)?;
-        }
-        Ok(())
+    /// Appends one batch. A batch that disagrees with the header (column
+    /// count or types), with itself (ragged columns) or with the
+    /// dictionary so far (a code past its end, an entry sent twice) is a
+    /// protocol error and adds nothing.
+    pub fn push_rows(&mut self, rows: &ColumnBatch) -> Result<()> {
+        self.table
+            .append_batch(rows)
+            .map_err(|e| GraqlError::net(format!("malformed table batch: {e}")))
     }
 
     pub fn finish(self) -> Table {
@@ -894,15 +1022,29 @@ mod tests {
                 ],
             },
             Msg::TableRows {
-                rows: vec![
-                    vec![
-                        Value::str("a"),
-                        Value::Int(-3),
-                        Value::Float(1.5),
-                        Value::Date(Date(7000)),
+                rows: ColumnBatch {
+                    n_rows: 2,
+                    columns: vec![
+                        BatchColumn::Str {
+                            page: "a".into(),
+                            ends: vec![1],
+                            codes: vec![0, 0],
+                            nulls: BitSet::from_indices(2, [1]),
+                        },
+                        BatchColumn::Int {
+                            data: vec![-3, 0],
+                            nulls: BitSet::from_indices(2, [1]),
+                        },
+                        BatchColumn::Float {
+                            data: vec![1.5, 2.5],
+                            nulls: BitSet::new(2),
+                        },
+                        BatchColumn::Date {
+                            data: vec![7000, 0],
+                            nulls: BitSet::from_indices(2, [1]),
+                        },
                     ],
-                    vec![Value::Null, Value::Null, Value::Null, Value::Null],
-                ],
+                },
             },
             Msg::TableEnd,
             Msg::Subgraph {
@@ -980,53 +1122,18 @@ mod tests {
     }
 
     #[test]
-    fn output_frames_match_tagged_output_msgs() {
-        use graql_table::{ColumnDef, Table, TableSchema};
-        // A table spanning several batches, with every column type and
-        // nulls, so the zero-copy encoder is exercised cell kind by cell
-        // kind.
-        let schema = TableSchema::new(vec![
-            ColumnDef::new("id", DataType::Varchar(16)),
-            ColumnDef::new("n", DataType::Integer),
-            ColumnDef::new("x", DataType::Float),
-            ColumnDef::new("d", DataType::Date),
-        ])
-        .unwrap();
-        let mut t = Table::empty(schema);
-        for i in 0..(BATCH_ROWS * 2 + 17) {
-            let row = if i % 5 == 0 {
-                vec![Value::Null, Value::Null, Value::Null, Value::Null]
-            } else {
-                vec![
-                    Value::str(format!("r{i}")),
-                    Value::Int(i as i64 - 100),
-                    Value::Float(i as f64 * 0.5),
-                    Value::Date(Date(i as i32)),
-                ]
-            };
-            t.push_row(&row).unwrap();
+    fn varints_round_trip_and_reject_overlong() {
+        for v in [0, 1, 127, 128, 300, 16_383, 16_384, u32::MAX - 1, u32::MAX] {
+            let mut b = Vec::new();
+            put_varint(&mut b, v);
+            let mut buf = &b[..];
+            assert_eq!(get_varint(&mut buf).unwrap(), v);
+            assert!(buf.is_empty());
         }
-        let outs = [
-            SessionOutput::Table(t),
-            SessionOutput::Created("T".into()),
-            SessionOutput::Subgraph {
-                n_vertices: 1,
-                n_edges: 2,
-                summary: "s".into(),
-            },
-            SessionOutput::Profile {
-                text: "p".into(),
-                json: "{}".into(),
-            },
-        ];
-        for out in &outs {
-            let fast = output_frames(42, out);
-            let slow: Vec<Vec<u8>> = output_msgs(out)
-                .iter()
-                .map(|m| encode_tagged(42, m))
-                .collect();
-            assert_eq!(fast, slow);
-        }
+        // 33 bits, and a sixth byte.
+        assert!(get_varint(&mut &[0xff, 0xff, 0xff, 0xff, 0x1f][..]).is_err());
+        assert!(get_varint(&mut &[0x80, 0x80, 0x80, 0x80, 0x80, 0x01][..]).is_err());
+        assert!(get_varint(&mut &[0x80][..]).is_err());
     }
 
     #[test]

@@ -87,6 +87,57 @@ impl BitSet {
         }
     }
 
+    /// The backing words, bit `i` at `words[i / 64] >> (i % 64)`; bits at
+    /// and beyond `len` are zero.
+    pub fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// A bitset of `len` bits over `words`, or `None` when the word count
+    /// is not exactly `len.div_ceil(64)`. Bits beyond `len` are cleared.
+    pub fn from_words(words: Vec<u64>, len: usize) -> Option<Self> {
+        if words.len() != len.div_ceil(64) {
+            return None;
+        }
+        let mut s = BitSet { words, len };
+        s.trim_tail();
+        Some(s)
+    }
+
+    /// Appends bits `range` of `other`, a word at a time.
+    ///
+    /// # Panics
+    /// Panics if `range` reaches beyond `other.len()`.
+    pub fn extend_from_range(&mut self, other: &BitSet, range: std::ops::Range<usize>) {
+        assert!(
+            range.start <= range.end && range.end <= other.len,
+            "bit range out of bounds"
+        );
+        let (mut src, mut dst) = (range.start, self.len);
+        self.len += range.len();
+        self.words.resize(self.len.div_ceil(64), 0);
+        while src < range.end {
+            let n = (range.end - src).min(64);
+            // Up to 64 bits of `other` starting at `src`, low bits first.
+            let (w, s) = (src / 64, src % 64);
+            let mut chunk = other.words[w] >> s;
+            if s != 0 && w + 1 < other.words.len() {
+                chunk |= other.words[w + 1] << (64 - s);
+            }
+            if n < 64 {
+                chunk &= (1u64 << n) - 1;
+            }
+            // The target bits are still zero: or the chunk in.
+            let (w, s) = (dst / 64, dst % 64);
+            self.words[w] |= chunk << s;
+            if s != 0 && s + n > 64 {
+                self.words[w + 1] |= chunk >> (64 - s);
+            }
+            src += n;
+            dst += n;
+        }
+    }
+
     /// Number of set bits.
     pub fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
@@ -256,6 +307,28 @@ mod tests {
             for i in 0..500 {
                 prop_assert_eq!(s.contains(i), idx.contains(&i));
             }
+        }
+
+        #[test]
+        fn extend_from_range_matches_bit_by_bit(
+            head in proptest::collection::vec(any::<bool>(), 0..150),
+            src in proptest::collection::vec(any::<bool>(), 0..300),
+            a in 0usize..300,
+            b in 0usize..300,
+        ) {
+            let (lo, hi) = (a.min(b).min(src.len()), a.max(b).min(src.len()));
+            let bits = |v: &[bool]| {
+                let mut s = BitSet::new(0);
+                v.iter().for_each(|&x| s.push_bit(x));
+                s
+            };
+            let mut fast = bits(&head);
+            fast.extend_from_range(&bits(&src), lo..hi);
+            let mut want = head.clone();
+            want.extend_from_slice(&src[lo..hi]);
+            prop_assert_eq!(&fast, &bits(&want));
+            // Round trip through the raw words.
+            prop_assert_eq!(BitSet::from_words(fast.words().to_vec(), fast.len()), Some(fast));
         }
 
         #[test]

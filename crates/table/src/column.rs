@@ -5,6 +5,7 @@
 //! filters compare codes and row materialization clones an `Arc` instead of
 //! copying bytes. Nulls live in a per-column bitmask.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use graql_types::{CmpOp, DataType, GraqlError, Result, Value};
@@ -13,15 +14,27 @@ use rustc_hash::FxHashMap;
 use crate::bitset::BitSet;
 
 /// Dictionary for a string column: code → `Arc<str>` plus reverse lookup.
+///
+/// Strings are distinct as long as they arrive through
+/// [`StrDict::intern`]. [`StrDict::extend_unindexed`] trusts its caller
+/// instead of hashing; after it, equal strings may hold several codes
+/// (comparisons by string stay right, comparisons by code do not).
 #[derive(Debug, Clone, Default)]
 pub struct StrDict {
     strings: Vec<Arc<str>>,
+    /// Reverse lookup over `strings[..indexed]`; what
+    /// `extend_unindexed` appended joins it on the next `intern`.
     lookup: FxHashMap<Arc<str>, u32>,
+    indexed: usize,
 }
 
 impl StrDict {
     /// Interns `s`, returning its code.
     pub fn intern(&mut self, s: &str) -> u32 {
+        for (code, e) in self.strings.iter().enumerate().skip(self.indexed) {
+            self.lookup.entry(e.clone()).or_insert(code as u32);
+        }
+        self.indexed = self.strings.len();
         if let Some(&c) = self.lookup.get(s) {
             return c;
         }
@@ -29,26 +42,58 @@ impl StrDict {
         let arc: Arc<str> = Arc::from(s);
         self.strings.push(arc.clone());
         self.lookup.insert(arc, code);
+        self.indexed += 1;
         code
     }
 
-    /// Code of `s` if already interned (used to pre-compile equality
-    /// predicates against constants).
-    pub fn code_of(&self, s: &str) -> Option<u32> {
-        self.lookup.get(s).copied()
+    /// Appends `entries` under the next codes without hashing them: for
+    /// a caller whose entries are distinct from each other and from the
+    /// dictionary by construction (a peer's dictionary page).
+    pub fn extend_unindexed<'a>(&mut self, entries: impl Iterator<Item = &'a str>) {
+        self.strings.extend(entries.map(Arc::from));
     }
 
     pub fn resolve(&self, code: u32) -> &Arc<str> {
         &self.strings[code as usize]
     }
 
-    /// Number of distinct strings.
+    /// Number of strings.
     pub fn len(&self) -> usize {
         self.strings.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.strings.is_empty()
+    }
+}
+
+/// Marks a source dictionary code [`remap_codes`] has not met yet.
+pub(crate) const UNSEEN: u32 = u32::MAX;
+
+/// Appends to `out` the codes of rows `range`, translated through
+/// `remap` (one slot per source dictionary code, [`UNSEEN`] until its
+/// first use, when `first_use(code)` names the target code). Null rows
+/// store code 0, as [`Column::push`] does. One table lookup per row and
+/// one `first_use` call per distinct string: no hashing here.
+pub(crate) fn remap_codes(
+    codes: &[u32],
+    nulls: &BitSet,
+    range: Range<usize>,
+    remap: &mut [u32],
+    out: &mut Vec<u32>,
+    mut first_use: impl FnMut(u32) -> u32,
+) {
+    out.reserve(range.len());
+    for i in range {
+        out.push(if nulls.contains(i) {
+            0
+        } else {
+            let slot = &mut remap[codes[i] as usize];
+            if *slot == UNSEEN {
+                *slot = first_use(codes[i]);
+            }
+            *slot
+        });
     }
 }
 
@@ -172,6 +217,94 @@ impl Column {
             }
         }
         Ok(())
+    }
+
+    /// True when rows of `other` can be appended to this column: the same
+    /// type family, or integers widening into a float column — the
+    /// pairings [`Column::push`] accepts value by value.
+    pub fn accepts(&self, other: &Column) -> bool {
+        matches!(
+            (self, other),
+            (Column::Int { .. }, Column::Int { .. })
+                | (
+                    Column::Float { .. },
+                    Column::Float { .. } | Column::Int { .. }
+                )
+                | (Column::Str { .. }, Column::Str { .. })
+                | (Column::Date { .. }, Column::Date { .. })
+        )
+    }
+
+    /// Appends rows `range` of `other` in bulk: value slices are extended,
+    /// null bits copied a word at a time, and string codes translated
+    /// through a code-to-code table so each distinct string is interned
+    /// once.
+    ///
+    /// # Panics
+    /// Panics unless `self.accepts(other)`, or if `range` reaches beyond
+    /// `other.len()`.
+    pub fn extend_from(&mut self, other: &Column, range: Range<usize>) {
+        match (&mut *self, other) {
+            (
+                Column::Int { data, nulls },
+                Column::Int {
+                    data: src,
+                    nulls: sn,
+                },
+            ) => {
+                data.extend_from_slice(&src[range.clone()]);
+                nulls.extend_from_range(sn, range);
+            }
+            (
+                Column::Float { data, nulls },
+                Column::Float {
+                    data: src,
+                    nulls: sn,
+                },
+            ) => {
+                data.extend_from_slice(&src[range.clone()]);
+                nulls.extend_from_range(sn, range);
+            }
+            (
+                Column::Float { data, nulls },
+                Column::Int {
+                    data: src,
+                    nulls: sn,
+                },
+            ) => {
+                data.extend(src[range.clone()].iter().map(|&i| i as f64));
+                nulls.extend_from_range(sn, range);
+            }
+            (
+                Column::Date { data, nulls },
+                Column::Date {
+                    data: src,
+                    nulls: sn,
+                },
+            ) => {
+                data.extend_from_slice(&src[range.clone()]);
+                nulls.extend_from_range(sn, range);
+            }
+            (
+                Column::Str { dict, codes, nulls },
+                Column::Str {
+                    dict: sd,
+                    codes: sc,
+                    nulls: sn,
+                },
+            ) => {
+                let mut remap = vec![UNSEEN; sd.len()];
+                remap_codes(sc, sn, range.clone(), &mut remap, codes, |c| {
+                    dict.intern(sd.resolve(c))
+                });
+                nulls.extend_from_range(sn, range);
+            }
+            (col, other) => panic!(
+                "cannot append a {} column to a {} column",
+                other.dtype(),
+                col.dtype()
+            ),
+        }
     }
 
     /// True if row `i` holds null.

@@ -97,12 +97,14 @@ fn quote_field(s: &str) -> String {
 pub fn ingest_str(table: &mut Table, text: &str) -> Result<usize> {
     let rows = parse_csv(text)?;
     let mut added = 0;
-    let names: Vec<String> = table
-        .schema()
+    let schema = table.schema().clone();
+    let names: Vec<String> = schema
         .columns()
         .iter()
         .map(|c| c.name.to_ascii_lowercase())
         .collect();
+    // One appender for the whole file: the columns are unshared once.
+    let mut out = table.appender();
     for (ri, raw) in rows.iter().enumerate() {
         if ri == 0 {
             let lowered: Vec<String> = raw.iter().map(|f| f.trim().to_ascii_lowercase()).collect();
@@ -110,21 +112,21 @@ pub fn ingest_str(table: &mut Table, text: &str) -> Result<usize> {
                 continue; // header row
             }
         }
-        if raw.len() != table.n_cols() {
+        if raw.len() != schema.len() {
             return Err(GraqlError::ingest(format!(
                 "CSV record {} has {} fields, table has {} columns",
                 ri + 1,
                 raw.len(),
-                table.n_cols()
+                schema.len()
             )));
         }
         let mut vals = Vec::with_capacity(raw.len());
-        for (f, def) in raw.iter().zip(table.schema().columns()) {
+        for (f, def) in raw.iter().zip(schema.columns()) {
             vals.push(def.dtype.parse_value(f).map_err(|e| {
                 GraqlError::ingest(format!("record {}, column '{}': {e}", ri + 1, def.name))
             })?);
         }
-        table.push_row(&vals)?;
+        out.push_row(&vals)?;
         added += 1;
     }
     Ok(added)

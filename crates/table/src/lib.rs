@@ -27,6 +27,7 @@
 //! assert_eq!(sorted.n_rows(), 2);
 //! ```
 
+pub mod batch;
 pub mod bitset;
 pub mod column;
 pub mod csv;
@@ -36,8 +37,9 @@ pub mod ops;
 pub mod schema;
 pub mod table;
 
+pub use batch::{BatchColumn, ColumnBatch};
 pub use bitset::BitSet;
 pub use column::Column;
 pub use expr::PhysExpr;
 pub use schema::{ColumnDef, TableSchema};
-pub use table::Table;
+pub use table::{RowAppender, Table};

@@ -124,6 +124,7 @@ pub fn group_aggregate(
     };
 
     let mut tick = cx.guard.ticker();
+    let mut rows = out.appender();
     for members in &groups {
         tick.tick()?;
         let rep = members.first().copied();
@@ -134,8 +135,9 @@ pub fn group_aggregate(
         for a in aggs {
             row.push(eval_agg(t, a.func, members));
         }
-        out.push_row(&row)?;
+        rows.push_row(&row)?;
     }
+    drop(rows);
     cx.guard.add_bytes(out.approx_bytes())?;
     let (n_in, n_out) = (t.n_rows() as u64, out.n_rows() as u64);
     obs_record_rows(cx.obs, Stage::Aggregate, span, n_in, n_out);

@@ -66,10 +66,11 @@ impl Default for OpCtx<'_> {
     }
 }
 
-/// Projection: a new table with the chosen columns, in order.
+/// Projection: a new table with the chosen columns, in order. The
+/// columns are shared with `t`, not copied.
 pub fn project(t: &Table, cols: &[usize]) -> Table {
     let schema = t.schema().project(cols);
-    let columns = cols.iter().map(|&c| t.column(c).clone()).collect();
+    let columns = cols.iter().map(|&c| t.shared_column(c).clone()).collect();
     Table::from_columns(schema, columns)
 }
 
@@ -84,7 +85,8 @@ pub fn top_n(t: &Table, n: usize, cx: &OpCtx) -> Table {
     out
 }
 
-/// `as x`: renames columns (length must equal arity).
+/// `as x`: renames columns (length must equal arity); the columns are
+/// shared with `t`.
 pub fn rename(t: &Table, names: &[&str]) -> Result<Table> {
     let defs = t
         .schema()
@@ -96,7 +98,9 @@ pub fn rename(t: &Table, names: &[&str]) -> Result<Table> {
     let schema = TableSchema::new(defs)?;
     Ok(Table::from_columns(
         schema,
-        (0..t.n_cols()).map(|i| t.column(i).clone()).collect(),
+        (0..t.n_cols())
+            .map(|i| t.shared_column(i).clone())
+            .collect(),
     ))
 }
 
@@ -120,6 +124,20 @@ mod tests {
         assert_eq!(p.n_cols(), 1);
         assert_eq!(p.schema().column(0).name, "b");
         assert_eq!(p.get(3, 0), Value::Int(30));
+    }
+
+    #[test]
+    fn project_and_rename_share_columns() {
+        let t = t();
+        let p = rename(&project(&t, &[1, 0]), &["y", "x"]).unwrap();
+        assert!(std::sync::Arc::ptr_eq(
+            p.shared_column(0),
+            t.shared_column(1)
+        ));
+        assert!(std::sync::Arc::ptr_eq(
+            p.shared_column(1),
+            t.shared_column(0)
+        ));
     }
 
     #[test]

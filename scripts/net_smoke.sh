@@ -167,6 +167,41 @@ if ! grep -q '"slow_query":{' "$slow_log"; then
     exit 1
 fi
 
+# ---- Large-scan round: a reply of several column batches ----
+# 3000 Offers rows (six 512-row TableRows frames) with a null price in
+# every seventh: the networked run must print the row count and the first
+# and last rendered rows the in-process run prints, and nothing else
+# differently either.
+scan_rows=3000
+for i in $(seq "$scan_rows"); do
+    price="$((i % 97)).5"
+    [ $((i % 7)) -eq 0 ] && price=""
+    printf 'offer%d,product%d,%s,2008-%02d-%02d\n' \
+        "$i" $((i % 211)) "$price" $((1 + i % 12)) $((1 + i % 28))
+done > "$workdir/Offers.csv"
+cat > "$workdir/scan.graql" <<'GRAQL'
+create table Offers(id varchar(16), product varchar(16), price float, validFrom date)
+ingest table Offers Offers.csv
+select * from table Offers
+GRAQL
+"$bindir/gems-shell" "$workdir/scan.graql" --data-dir "$workdir" > "$workdir/scan_local.out"
+"$bindir/gems-shell" "$workdir/scan.graql" --connect "$addr" --user admin \
+    > "$workdir/scan_remote.out"
+for side in local remote; do
+    out="$workdir/scan_$side.out"
+    {
+        sed -n 's/^\[2\] table (\([0-9]*\) rows):$/\1/p' "$out"
+        sed -n '6p;$p' "$out"   # first and last rendered row
+    } > "$workdir/scan_$side.key"
+done
+if [ "$(head -n 1 "$workdir/scan_remote.key")" != "$scan_rows" ] ||
+    ! diff -u "$workdir/scan_local.key" "$workdir/scan_remote.key" ||
+    ! cmp -s "$workdir/scan_local.out" "$workdir/scan_remote.out"; then
+    echo "net_smoke: large scan diverges between local and remote" >&2
+    diff "$workdir/scan_local.out" "$workdir/scan_remote.out" | head -n 20 >&2
+    exit 1
+fi
+
 echo shutdown > "$workdir/ctl"
 kill "$holder_pid" 2>/dev/null || true
 wait "$serve_pid"

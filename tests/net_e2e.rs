@@ -11,8 +11,10 @@ use std::process::{Child, ChildStdin, Command, Stdio};
 use std::time::Duration;
 
 use graql::core::{Role, SessionOutput};
+use graql::net::frame::{read_frame, write_frame, FrameRead, MAX_FRAME};
+use graql::net::proto::{self, Msg, BATCH_ROWS, PROTO_VERSION};
 use graql::net::{ConnectOptions, GemsSession, RemoteSession};
-use graql::GraqlError;
+use graql::{Database, GraqlError, StmtOutput, Value};
 
 /// A running `gems-serve` child. Dropping kills it; `stop` shuts it down
 /// gracefully via stdin EOF.
@@ -173,6 +175,134 @@ fn corpus_byte_identical_local_vs_remote() {
         assert!(!local.stdout.is_empty(), "{script_s} printed nothing");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Replies of several column batches, with every column type and nulls
+/// in each: the tables a `RemoteSession` assembles are cell-identical
+/// (floats by bit pattern) and `render()`-identical to the in-process
+/// ones, and `gems-shell --connect` prints what `gems-shell` prints.
+#[test]
+fn multi_batch_replies_identical_local_vs_remote() {
+    let dir = std::env::temp_dir().join(format!("graql_net_wide_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let dir_s = dir.to_str().unwrap();
+    let n_rows = 2 * BATCH_ROWS + 300;
+    let mut csv = String::new();
+    for i in 0..n_rows {
+        if i % 9 == 4 {
+            csv.push_str(&format!("row{i},,,,\n")); // null in every nullable column
+            continue;
+        }
+        let x = ["1.5", "-0.0", "NaN", "inf", "-inf", "2"][i % 6];
+        let (m, d) = (1 + i % 12, 1 + i % 28);
+        csv.push_str(&format!(
+            "row{i},{},{},{x},2008-{m:02}-{d:02}\n",
+            ["a", "bb", "ccc"][i % 3],
+            i as i64 - 700
+        ));
+    }
+    std::fs::write(dir.join("wide.csv"), csv).unwrap();
+    let script = "create table Wide(id varchar(16), tag varchar(4), n integer, x float, d date)\n\
+                  ingest table Wide wide.csv\n\
+                  select * from table Wide\n\
+                  select d, x, n, tag from table Wide where n > -650 order by n desc\n";
+    let script_path = dir.join("wide.graql");
+    std::fs::write(&script_path, script).unwrap();
+
+    let mut db = Database::new();
+    db.set_data_dir(&dir);
+    let local = db.execute_script(script).unwrap();
+
+    let serve = Serve::spawn(&["--data-dir", dir_s]);
+    let mut s = RemoteSession::connect(serve.addr.as_str(), ConnectOptions::new("admin")).unwrap();
+    let remote = s.execute_script(script).unwrap();
+    assert_eq!(local.len(), remote.len());
+    let bits = |v: Value| match v {
+        Value::Float(f) => Value::Int(f.to_bits() as i64),
+        other => other,
+    };
+    let mut tables = 0;
+    for (l, r) in local.iter().zip(&remote) {
+        let (StmtOutput::Table(l), SessionOutput::Table(r)) = (l, r) else {
+            continue;
+        };
+        tables += 1;
+        assert!(
+            l.n_rows() > 2 * BATCH_ROWS,
+            "a reply of at least three batches"
+        );
+        assert_eq!(l.schema(), r.schema());
+        assert_eq!(l.n_rows(), r.n_rows());
+        for (i, (a, b)) in l.iter_rows().zip(r.iter_rows()).enumerate() {
+            assert!(
+                a.into_iter().map(bits).eq(b.into_iter().map(bits)),
+                "row {i}"
+            );
+        }
+        assert_eq!(l.render(), r.render());
+    }
+    assert_eq!(tables, 2);
+    drop(s);
+    serve.stop();
+
+    // Through the shell, against a fresh server (the script creates Wide).
+    let script_s = script_path.to_str().unwrap();
+    let local = shell(&[script_s, "--data-dir", dir_s]);
+    let serve = Serve::spawn(&["--data-dir", dir_s]);
+    let remote = shell(&[script_s, "--connect", &serve.addr, "--user", "admin"]);
+    serve.stop();
+    assert!(local.status.success() && remote.status.success());
+    assert_eq!(
+        String::from_utf8_lossy(&local.stdout),
+        String::from_utf8_lossy(&remote.stdout)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The previous protocol's `Hello` is refused by name: a typed `Net`
+/// error saying which versions met, then a close — a v5 client can never
+/// be handed a column batch it would misparse as rows.
+#[test]
+fn v5_hello_is_refused_with_the_version_mismatch_error() {
+    assert_eq!(PROTO_VERSION, 6, "the column-batch protocol");
+    let serve = Serve::spawn(&[]);
+    let stream = std::net::TcpStream::connect(serve.addr.as_str()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let hello = proto::encode_tagged(
+        9,
+        &Msg::Hello {
+            proto: 5,
+            user: "admin".to_string(),
+        },
+    );
+    write_frame(&mut &stream, &hello, MAX_FRAME).unwrap();
+    let FrameRead::Frame(reply) = read_frame(&mut &stream, MAX_FRAME).unwrap() else {
+        panic!("expected an error frame, not silence");
+    };
+    let (
+        id,
+        Msg::Error {
+            status, message, ..
+        },
+    ) = proto::decode_tagged(&reply).unwrap()
+    else {
+        panic!("expected an Error message");
+    };
+    assert_eq!(id, 9);
+    let err = GraqlError::from_wire_status(status, message);
+    assert!(matches!(err, GraqlError::Net(_)), "{err:?}");
+    assert!(
+        err.to_string()
+            .contains("client speaks v5, server speaks v6"),
+        "{err}"
+    );
+    assert!(matches!(
+        read_frame(&mut &stream, MAX_FRAME),
+        Ok(FrameRead::Closed) | Err(_)
+    ));
+    serve.stop();
 }
 
 /// `check` over the wire renders the same caret diagnostics as locally.
