@@ -173,7 +173,7 @@ fn cull_to_fixpoint(
         // Fault site at the batch-granularity checkpoint: a Delay here
         // widens the window in which cancel/deadline must land mid-query;
         // an Err injects the same typed abort a tripped guard produces.
-        graql_types::failpoint!("core/exec/batch", GraqlError::cancelled);
+        graql_types::failpoint!(ctx.guard.faults(), "core/exec/batch", GraqlError::cancelled);
         ctx.guard.check()?;
         for (pi, p) in q.paths.iter().enumerate() {
             // Forward sweep.

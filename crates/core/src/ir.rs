@@ -4,12 +4,13 @@
 //! script from the front-end portion of the GEMS system to the backend for
 //! execution."
 //!
-//! Hand-rolled tagged binary codec over [`bytes`]: little-endian scalars,
-//! length-prefixed strings, one tag byte per variant. Round-trip
-//! (`decode(encode(s)) == s`) is property-tested.
+//! Hand-rolled tagged binary codec over [`graql_types::codec`] (shared
+//! with the wire protocol): little-endian scalars, length-prefixed
+//! strings, one tag byte per variant. Round-trip (`decode(encode(s)) ==
+//! s`) is property-tested.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use graql_parser::ast::*;
+use graql_types::codec::{self, Put};
 use graql_types::{CmpOp, Date, GraqlError, Result};
 
 /// Magic + version header so stale blobs fail loudly.
@@ -17,29 +18,27 @@ const MAGIC: &[u8; 4] = b"GQIR";
 const VERSION: u8 = 1;
 
 /// Encodes a parsed script into its binary IR.
-pub fn encode(script: &Script) -> Bytes {
-    let mut b = BytesMut::new();
+pub fn encode(script: &Script) -> Vec<u8> {
+    let mut b = Vec::new();
     b.put_slice(MAGIC);
     b.put_u8(VERSION);
     b.put_u32_le(script.statements.len() as u32);
     for s in &script.statements {
         enc_stmt(&mut b, s);
     }
-    b.freeze()
+    b
 }
 
 /// Decodes a binary IR blob back into a script.
 pub fn decode(mut data: &[u8]) -> Result<Script> {
     let buf = &mut data;
-    let mut magic = [0u8; 4];
-    if buf.remaining() < 5 {
-        return Err(GraqlError::ir("truncated IR header"));
-    }
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let (magic, version) = match (codec::take(buf, 4), codec::take_array(buf)) {
+        (Some(magic), Some([version])) => (magic, version),
+        _ => return Err(GraqlError::ir("truncated IR header")),
+    };
+    if magic != MAGIC {
         return Err(GraqlError::ir("bad IR magic"));
     }
-    let version = buf.get_u8();
     if version != VERSION {
         return Err(GraqlError::ir(format!("unsupported IR version {version}")));
     }
@@ -48,7 +47,7 @@ pub fn decode(mut data: &[u8]) -> Result<Script> {
     for _ in 0..n {
         statements.push(dec_stmt(buf)?);
     }
-    if buf.has_remaining() {
+    if !buf.is_empty() {
         return Err(GraqlError::ir("trailing bytes after IR script"));
     }
     Ok(Script { statements })
@@ -56,47 +55,33 @@ pub fn decode(mut data: &[u8]) -> Result<Script> {
 
 // -- low-level helpers -------------------------------------------------------
 
-fn put_str(b: &mut BytesMut, s: &str) {
-    b.put_u32_le(s.len() as u32);
-    b.put_slice(s.as_bytes());
+fn get_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N]> {
+    codec::take_array(buf).ok_or_else(|| GraqlError::ir("truncated IR"))
 }
 
 fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    if buf.remaining() < 1 {
-        return Err(GraqlError::ir("truncated IR"));
-    }
-    Ok(buf.get_u8())
+    get_array(buf).map(u8::from_le_bytes)
 }
 
 fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(GraqlError::ir("truncated IR"));
-    }
-    Ok(buf.get_u32_le())
+    get_array(buf).map(u32::from_le_bytes)
 }
 
 fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    if buf.remaining() < 8 {
-        return Err(GraqlError::ir("truncated IR"));
-    }
-    Ok(buf.get_u64_le())
+    get_array(buf).map(u64::from_le_bytes)
 }
 
 fn get_str(buf: &mut &[u8]) -> Result<String> {
     let n = get_u32(buf)? as usize;
-    if buf.remaining() < n {
-        return Err(GraqlError::ir("truncated IR string"));
-    }
-    let mut v = vec![0u8; n];
-    buf.copy_to_slice(&mut v);
-    String::from_utf8(v).map_err(|_| GraqlError::ir("invalid UTF-8 in IR string"))
+    let bytes = codec::take(buf, n).ok_or_else(|| GraqlError::ir("truncated IR string"))?;
+    String::from_utf8(bytes.to_vec()).map_err(|_| GraqlError::ir("invalid UTF-8 in IR string"))
 }
 
-fn put_opt_str(b: &mut BytesMut, s: &Option<String>) {
+fn put_opt_str(b: &mut Vec<u8>, s: &Option<String>) {
     match s {
         Some(s) => {
             b.put_u8(1);
-            put_str(b, s);
+            b.put_str(s);
         }
         None => b.put_u8(0),
     }
@@ -110,7 +95,7 @@ fn get_opt_str(buf: &mut &[u8]) -> Result<Option<String>> {
     })
 }
 
-fn put_opt_expr(b: &mut BytesMut, e: &Option<Expr>) {
+fn put_opt_expr(b: &mut Vec<u8>, e: &Option<Expr>) {
     match e {
         Some(e) => {
             b.put_u8(1);
@@ -130,14 +115,14 @@ fn get_opt_expr(buf: &mut &[u8]) -> Result<Option<Expr>> {
 
 // -- statements --------------------------------------------------------------
 
-fn enc_stmt(b: &mut BytesMut, s: &Stmt) {
+fn enc_stmt(b: &mut Vec<u8>, s: &Stmt) {
     match s {
         Stmt::CreateTable(t) => {
             b.put_u8(0);
-            put_str(b, &t.name);
+            b.put_str(&t.name);
             b.put_u32_le(t.columns.len() as u32);
             for (n, ty) in &t.columns {
-                put_str(b, n);
+                b.put_str(n);
                 match ty {
                     TypeName::Integer => b.put_u8(0),
                     TypeName::Float => b.put_u8(1),
@@ -151,31 +136,31 @@ fn enc_stmt(b: &mut BytesMut, s: &Stmt) {
         }
         Stmt::CreateVertex(v) => {
             b.put_u8(1);
-            put_str(b, &v.name);
+            b.put_str(&v.name);
             b.put_u32_le(v.key.len() as u32);
             for k in &v.key {
-                put_str(b, k);
+                b.put_str(k);
             }
-            put_str(b, &v.from_table);
+            b.put_str(&v.from_table);
             put_opt_expr(b, &v.where_clause);
         }
         Stmt::CreateEdge(e) => {
             b.put_u8(2);
-            put_str(b, &e.name);
-            put_str(b, &e.source.vertex_type);
+            b.put_str(&e.name);
+            b.put_str(&e.source.vertex_type);
             put_opt_str(b, &e.source.alias);
-            put_str(b, &e.target.vertex_type);
+            b.put_str(&e.target.vertex_type);
             put_opt_str(b, &e.target.alias);
             b.put_u32_le(e.from_tables.len() as u32);
             for t in &e.from_tables {
-                put_str(b, t);
+                b.put_str(t);
             }
             put_opt_expr(b, &e.where_clause);
         }
         Stmt::Ingest(i) => {
             b.put_u8(3);
-            put_str(b, &i.table);
-            put_str(b, &i.path);
+            b.put_str(&i.table);
+            b.put_str(&i.path);
         }
         Stmt::Select(s) => {
             b.put_u8(4);
@@ -266,7 +251,7 @@ fn dec_stmt(buf: &mut &[u8]) -> Result<Stmt> {
 
 // -- expressions --------------------------------------------------------------
 
-fn enc_expr(b: &mut BytesMut, e: &Expr) {
+fn enc_expr(b: &mut Vec<u8>, e: &Expr) {
     match e {
         Expr::And(ps) => {
             b.put_u8(0);
@@ -340,12 +325,12 @@ fn cmp_untag(t: u8) -> Result<CmpOp> {
     })
 }
 
-fn enc_operand(b: &mut BytesMut, o: &Operand) {
+fn enc_operand(b: &mut Vec<u8>, o: &Operand) {
     match o {
         Operand::Attr { qualifier, name } => {
             b.put_u8(0);
             put_opt_str(b, qualifier);
-            put_str(b, name);
+            b.put_str(name);
         }
         Operand::Lit(l) => {
             b.put_u8(1);
@@ -360,7 +345,7 @@ fn enc_operand(b: &mut BytesMut, o: &Operand) {
                 }
                 Lit::Str(s) => {
                     b.put_u8(2);
-                    put_str(b, s);
+                    b.put_str(s);
                 }
                 Lit::Date(d) => {
                     b.put_u8(3);
@@ -368,7 +353,7 @@ fn enc_operand(b: &mut BytesMut, o: &Operand) {
                 }
                 Lit::Param(p) => {
                     b.put_u8(4);
-                    put_str(b, p);
+                    b.put_str(p);
                 }
             }
         }
@@ -395,7 +380,7 @@ fn dec_operand(buf: &mut &[u8]) -> Result<Operand> {
 
 // -- select statements ---------------------------------------------------------
 
-fn enc_select(b: &mut BytesMut, s: &SelectStmt) {
+fn enc_select(b: &mut Vec<u8>, s: &SelectStmt) {
     b.put_u8(s.distinct as u8);
     match s.top {
         Some(n) => {
@@ -449,7 +434,7 @@ fn enc_select(b: &mut BytesMut, s: &SelectStmt) {
     match &s.source {
         SelectSource::Table(t) => {
             b.put_u8(0);
-            put_str(b, t);
+            b.put_str(t);
         }
         SelectSource::Graph(p) => {
             b.put_u8(1);
@@ -470,11 +455,11 @@ fn enc_select(b: &mut BytesMut, s: &SelectStmt) {
         None => b.put_u8(0),
         Some(IntoClause::Table(n)) => {
             b.put_u8(1);
-            put_str(b, n);
+            b.put_str(n);
         }
         Some(IntoClause::Subgraph(n)) => {
             b.put_u8(2);
-            put_str(b, n);
+            b.put_str(n);
         }
     }
 }
@@ -549,9 +534,9 @@ fn dec_select(buf: &mut &[u8]) -> Result<SelectStmt> {
     })
 }
 
-fn enc_colref(b: &mut BytesMut, c: &ColRef) {
+fn enc_colref(b: &mut Vec<u8>, c: &ColRef) {
     put_opt_str(b, &c.qualifier);
-    put_str(b, &c.name);
+    b.put_str(&c.name);
 }
 
 fn dec_colref(buf: &mut &[u8]) -> Result<ColRef> {
@@ -563,7 +548,7 @@ fn dec_colref(buf: &mut &[u8]) -> Result<ColRef> {
 
 // -- path compositions ----------------------------------------------------------
 
-fn enc_comp(b: &mut BytesMut, c: &PathComposition) {
+fn enc_comp(b: &mut Vec<u8>, c: &PathComposition) {
     match c {
         PathComposition::Single(p) => {
             b.put_u8(0);
@@ -597,7 +582,7 @@ fn dec_comp(buf: &mut &[u8]) -> Result<PathComposition> {
     })
 }
 
-fn enc_path(b: &mut BytesMut, p: &PathQuery) {
+fn enc_path(b: &mut Vec<u8>, p: &PathQuery) {
     enc_vstep(b, &p.head);
     b.put_u32_le(p.segments.len() as u32);
     for s in &p.segments {
@@ -677,7 +662,7 @@ fn dec_path(buf: &mut &[u8]) -> Result<PathQuery> {
     Ok(PathQuery { head, segments })
 }
 
-fn enc_label(b: &mut BytesMut, l: &Option<LabelDef>) {
+fn enc_label(b: &mut Vec<u8>, l: &Option<LabelDef>) {
     match l {
         None => b.put_u8(0),
         Some(l) => {
@@ -685,7 +670,7 @@ fn enc_label(b: &mut BytesMut, l: &Option<LabelDef>) {
                 LabelKind::Set => 1,
                 LabelKind::Each => 2,
             });
-            put_str(b, &l.name);
+            b.put_str(&l.name);
         }
     }
 }
@@ -707,12 +692,12 @@ fn dec_label(buf: &mut &[u8]) -> Result<Option<LabelDef>> {
     })
 }
 
-fn enc_stepname(b: &mut BytesMut, n: &StepName) {
+fn enc_stepname(b: &mut Vec<u8>, n: &StepName) {
     match n {
         StepName::Any => b.put_u8(0),
         StepName::Named(s) => {
             b.put_u8(1);
-            put_str(b, s);
+            b.put_str(s);
         }
     }
 }
@@ -725,7 +710,7 @@ fn dec_stepname(buf: &mut &[u8]) -> Result<StepName> {
     })
 }
 
-fn enc_vstep(b: &mut BytesMut, v: &VertexStep) {
+fn enc_vstep(b: &mut Vec<u8>, v: &VertexStep) {
     enc_label(b, &v.label_def);
     put_opt_str(b, &v.seed);
     enc_stepname(b, &v.name);
@@ -742,7 +727,7 @@ fn dec_vstep(buf: &mut &[u8]) -> Result<VertexStep> {
     })
 }
 
-fn enc_estep(b: &mut BytesMut, e: &EdgeStep) {
+fn enc_estep(b: &mut Vec<u8>, e: &EdgeStep) {
     enc_label(b, &e.label_def);
     enc_stepname(b, &e.name);
     put_opt_expr(b, &e.cond);

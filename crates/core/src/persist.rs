@@ -21,6 +21,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use graql_parser::ast;
+use graql_types::failpoints::Faults;
 use graql_types::{GraqlError, Result};
 
 use crate::database::Database;
@@ -30,7 +31,7 @@ const MANIFEST_FILE: &str = "MANIFEST";
 const STATS_FILE: &str = "catalog.stats";
 
 /// FNV-1a over a file's contents — the same cheap, dependency-free hash
-/// the failpoint registry uses for site seeds. Not cryptographic; it
+/// failpoint handles use for site seeds. Not cryptographic; it
 /// detects torn writes and bit rot, not adversaries.
 pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -65,9 +66,9 @@ pub(crate) fn sync_dir(path: &Path) -> std::io::Result<()> {
 /// `dir`, creating it if needed. The snapshot is staged in a temporary
 /// sibling directory and committed atomically; on any error (including an
 /// injected `core/persist/save-commit` fault) the previous contents of
-/// `dir` are untouched.
-pub fn save_dir(db: &Database, dir: &Path) -> Result<()> {
-    graql_types::failpoint!("core/persist/save-io", GraqlError::ingest);
+/// `dir` are untouched. The `core/persist/*` sites consult `faults`.
+pub fn save_dir(db: &Database, dir: &Path, faults: &Faults) -> Result<()> {
+    graql_types::failpoint!(faults, "core/persist/save-io", GraqlError::ingest);
     let io = |e: std::io::Error| GraqlError::ingest(format!("save: {e}"));
 
     // Reconstruct the DDL script from the catalog.
@@ -163,7 +164,7 @@ pub fn save_dir(db: &Database, dir: &Path) -> Result<()> {
         sync_dir(&staged.tmp).map_err(io)?;
         // The fault site sits between "snapshot fully staged" and "commit
         // rename": a crash here must leave any previous snapshot intact.
-        graql_types::failpoint!("core/persist/save-commit", GraqlError::ingest);
+        graql_types::failpoint!(faults, "core/persist/save-commit", GraqlError::ingest);
         commit(&staged, dir).map_err(io)
     })();
     if staged_result.is_err() {
@@ -218,8 +219,8 @@ fn commit(staged: &StagePaths, dir: &Path) -> std::io::Result<()> {
 /// single statement is replayed; a missing or corrupt file is a typed
 /// [`GraqlError::Ingest`]. Manifest-less directories are accepted as
 /// legacy/hand-authored snapshots and loaded unverified.
-pub fn load_dir(dir: &Path) -> Result<Database> {
-    graql_types::failpoint!("core/persist/load-io", GraqlError::ingest);
+pub fn load_dir(dir: &Path, faults: &Faults) -> Result<Database> {
+    graql_types::failpoint!(faults, "core/persist/load-io", GraqlError::ingest);
     if let Ok(manifest) = std::fs::read_to_string(dir.join(MANIFEST_FILE)) {
         verify_manifest(dir, &manifest)?;
     }
@@ -304,8 +305,8 @@ mod tests {
     fn save_load_round_trip() {
         let dir = tmpdir("rt");
         let mut db = sample();
-        save_dir(&db, &dir).unwrap();
-        let mut back = load_dir(&dir).unwrap();
+        save_dir(&db, &dir, &Faults::default()).unwrap();
+        let mut back = load_dir(&dir, &Faults::default()).unwrap();
         // Tables equal.
         let (t1, t2) = (db.table("P").unwrap(), back.table("P").unwrap());
         assert_eq!(t1.n_rows(), t2.n_rows());
@@ -334,7 +335,7 @@ mod tests {
     #[test]
     fn saved_catalog_is_valid_graql() {
         let dir = tmpdir("ddl");
-        save_dir(&sample(), &dir).unwrap();
+        save_dir(&sample(), &dir, &Faults::default()).unwrap();
         let text = std::fs::read_to_string(dir.join(CATALOG_FILE)).unwrap();
         let script = graql_parser::parse(&text).unwrap();
         // 1 table + 1 vertex + 1 edge + 1 ingest.
@@ -348,35 +349,36 @@ mod tests {
 
     #[test]
     fn load_missing_dir_fails_cleanly() {
-        let err = load_dir(Path::new("/nonexistent-graql-persist")).unwrap_err();
+        let err =
+            load_dir(Path::new("/nonexistent-graql-persist"), &Faults::default()).unwrap_err();
         assert!(matches!(err, GraqlError::Ingest(_)));
     }
 
     #[test]
     fn save_writes_manifest_and_load_verifies_it() {
         let dir = tmpdir("manifest");
-        save_dir(&sample(), &dir).unwrap();
+        save_dir(&sample(), &dir, &Faults::default()).unwrap();
         let manifest = std::fs::read_to_string(dir.join(MANIFEST_FILE)).unwrap();
         assert!(manifest.contains("catalog.graql"), "{manifest}");
         assert!(manifest.contains("P.csv"), "{manifest}");
-        load_dir(&dir).unwrap();
+        load_dir(&dir, &Faults::default()).unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn torn_snapshot_is_a_typed_error() {
         let dir = tmpdir("torn");
-        save_dir(&sample(), &dir).unwrap();
+        save_dir(&sample(), &dir, &Faults::default()).unwrap();
         // Tear the data file the way a crash mid-write would: truncate it.
         let csv = dir.join("P.csv");
         let bytes = std::fs::read(&csv).unwrap();
         std::fs::write(&csv, &bytes[..bytes.len() / 2]).unwrap();
-        let err = load_dir(&dir).unwrap_err();
+        let err = load_dir(&dir, &Faults::default()).unwrap_err();
         assert!(matches!(err, GraqlError::Ingest(_)), "{err}");
         assert!(err.to_string().contains("torn snapshot"), "{err}");
         // A missing file is the same class of failure.
         std::fs::remove_file(&csv).unwrap();
-        let err = load_dir(&dir).unwrap_err();
+        let err = load_dir(&dir, &Faults::default()).unwrap_err();
         assert!(err.to_string().contains("torn snapshot"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -385,19 +387,17 @@ mod tests {
     fn save_replaces_previous_snapshot_atomically() {
         let dir = tmpdir("replace");
         let mut db = sample();
-        save_dir(&db, &dir).unwrap();
+        save_dir(&db, &dir, &Faults::default()).unwrap();
         db.ingest_str("P", "e,a,9.0,2005-05-05\n").unwrap();
-        save_dir(&db, &dir).unwrap();
-        let back = load_dir(&dir).unwrap();
+        save_dir(&db, &dir, &Faults::default()).unwrap();
+        let back = load_dir(&dir, &Faults::default()).unwrap();
         assert_eq!(back.table("P").unwrap().n_rows(), 5);
-        // No staging litter survives a successful save.
-        let parent = dir.parent().unwrap();
-        for entry in std::fs::read_dir(parent).unwrap() {
+        // No staging litter survives a successful save. (Only this
+        // snapshot's siblings: concurrent tests stage their own.)
+        let prefix = format!("{}.", dir.file_name().unwrap().to_string_lossy());
+        for entry in std::fs::read_dir(dir.parent().unwrap()).unwrap() {
             let name = entry.unwrap().file_name().to_string_lossy().into_owned();
-            assert!(
-                !(name.contains(".tmp.") || name.contains(".old.")),
-                "staging litter: {name}"
-            );
+            assert!(!name.starts_with(&prefix), "staging litter: {name}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -423,14 +423,15 @@ mod tests {
     fn crash_during_save_keeps_old_snapshot() {
         let dir = tmpdir("crash");
         let mut db = sample();
-        save_dir(&db, &dir).unwrap();
+        save_dir(&db, &dir, &Faults::default()).unwrap();
         db.ingest_str("P", "e,a,9.0,2005-05-05\n").unwrap();
-        graql_types::failpoints::configure("core/persist/save-commit", "1*err").unwrap();
-        let err = save_dir(&db, &dir).unwrap_err();
-        graql_types::failpoints::disarm("core/persist/save-commit");
+        let faults = Faults::default();
+        faults.arm("core/persist/save-commit", "1*err", 0).unwrap();
+        let err = save_dir(&db, &dir, &faults).unwrap_err();
+        assert_eq!(faults.fired_count("core/persist/save-commit"), 1);
         assert!(matches!(err, GraqlError::Ingest(_)), "{err}");
         // The old 4-row snapshot survives, checksums intact.
-        let back = load_dir(&dir).unwrap();
+        let back = load_dir(&dir, &Faults::default()).unwrap();
         assert_eq!(back.table("P").unwrap().n_rows(), 4);
         assert!(
             !dir.parent()
@@ -443,9 +444,10 @@ mod tests {
                 .exists(),
             "staging dir cleaned up after failed commit"
         );
-        // And a retry (fault cleared) commits the new snapshot.
-        save_dir(&db, &dir).unwrap();
-        let back = load_dir(&dir).unwrap();
+        // And a retry (the one-shot fault is spent) commits the new
+        // snapshot.
+        save_dir(&db, &dir, &faults).unwrap();
+        let back = load_dir(&dir, &Faults::default()).unwrap();
         assert_eq!(back.table("P").unwrap().n_rows(), 5);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -457,8 +459,8 @@ mod tests {
         db.execute_str("select id from table P into table Snapshot")
             .unwrap();
         assert!(db.result_table("Snapshot").is_some());
-        save_dir(&db, &dir).unwrap();
-        let back = load_dir(&dir).unwrap();
+        save_dir(&db, &dir, &Faults::default()).unwrap();
+        let back = load_dir(&dir, &Faults::default()).unwrap();
         assert!(
             back.result_table("Snapshot").is_none(),
             "results regenerate, not persist"

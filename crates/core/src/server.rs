@@ -29,6 +29,11 @@
 //! statement to a [`crate::wal::Wal`] before publishing its epoch, so an
 //! acknowledged statement survives a crash (see the `wal` module for the
 //! commit/checkpoint/recovery protocol).
+//!
+//! Each server owns one [`Faults`] handle (see
+//! `graql_types::failpoints`): its WAL, the guards it mints for queries
+//! and the network layer wrapping it all consult that handle, so a fault
+//! armed on one server never fires in another.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -36,6 +41,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use graql_parser::ast::{self, Stmt};
+use graql_types::failpoints::Faults;
 use graql_types::{
     GraqlError, MetricsRegistry, QueryBudget, QueryGuard, QueryOutcome, QueryProfile, Result,
     WalMetrics,
@@ -154,6 +160,8 @@ struct ServerShared {
     /// Compiled-plan cache for read-only scripts, keyed by
     /// `(epoch_seq, normalized text)` — see [`crate::plancache`].
     plan_cache: PlanCache,
+    /// The fault handle every site this server owns consults.
+    faults: Faults,
 }
 
 impl ServerShared {
@@ -240,19 +248,34 @@ impl Server {
     /// Wraps an in-memory database (no durability). An `admin` account
     /// always exists.
     pub fn new(db: Database) -> Self {
-        Server::assemble(db, None)
+        Server::with_faults(db, Faults::default())
+    }
+
+    /// [`Server::new`] with the fault handle the server's sites consult.
+    pub fn with_faults(db: Database, faults: Faults) -> Self {
+        Server::assemble(db, None, faults)
     }
 
     /// Opens (or initializes) a durable database under `dir`: recovers
     /// the snapshot + committed log records, then serves it with every
     /// mutating statement write-ahead logged.
     pub fn open_durable(dir: &Path, opts: DurabilityOptions) -> Result<(Server, RecoveryReport)> {
-        let wal_metrics = Arc::new(WalMetrics::new());
-        let (db, wal, report) = Wal::open(dir, opts, wal_metrics)?;
-        Ok((Server::assemble(db, Some(wal)), report))
+        Server::open_durable_with_faults(dir, opts, Faults::default())
     }
 
-    fn assemble(db: Database, wal: Option<Wal>) -> Server {
+    /// [`Server::open_durable`] with the fault handle the server's sites
+    /// (recovery included) consult.
+    pub fn open_durable_with_faults(
+        dir: &Path,
+        opts: DurabilityOptions,
+        faults: Faults,
+    ) -> Result<(Server, RecoveryReport)> {
+        let wal_metrics = Arc::new(WalMetrics::new());
+        let (db, wal, report) = Wal::open_with_faults(dir, opts, wal_metrics, faults.clone())?;
+        Ok((Server::assemble(db, Some(wal), faults), report))
+    }
+
+    fn assemble(db: Database, wal: Option<Wal>, faults: Faults) -> Server {
         let mut users = FxHashMap::default();
         users.insert("admin".to_string(), Role::Admin);
         let metrics = MetricsRegistry::new();
@@ -271,8 +294,14 @@ impl Server {
                 wal,
                 role: RwLock::new(ReplRole::Primary),
                 plan_cache,
+                faults,
             }),
         }
+    }
+
+    /// The fault handle this server's sites consult; tests arm it.
+    pub fn faults(&self) -> &Faults {
+        &self.shared.faults
     }
 
     /// The engine metrics registry: query outcomes (including governance
@@ -609,8 +638,7 @@ impl Session {
 
     /// Executes a script shipped as binary IR (the wire form, paper §III).
     pub fn execute_ir(&mut self, blob: &[u8]) -> Result<Vec<SessionOutput>> {
-        let guard = QueryGuard::new(self.query_budget());
-        self.execute_ir_observed(blob, &guard, None)
+        self.execute_ir_observed(blob, &self.default_guard(), None)
     }
 
     /// [`Session::execute_ir`] under an externally owned [`QueryGuard`] —
@@ -633,9 +661,11 @@ impl Session {
             .collect())
     }
 
-    /// The default per-query budget configured on the shared database.
-    fn query_budget(&self) -> QueryBudget {
-        self.shared.snapshot().config().budget
+    /// A fresh guard with the default per-query budget configured on the
+    /// shared database, consulting the server's faults.
+    fn default_guard(&self) -> QueryGuard {
+        let budget = self.shared.snapshot().config().budget;
+        QueryGuard::with_faults(budget, self.shared.faults.clone())
     }
 
     /// Executes an already parsed script under a fresh guard minted from
@@ -643,8 +673,7 @@ impl Session {
     /// `into` capture) run lock-free against the epoch they capture, so
     /// concurrent sessions query in parallel even during a long ingest.
     pub fn execute_parsed(&mut self, script: &ast::Script) -> Result<Vec<StmtOutput>> {
-        let guard = QueryGuard::new(self.query_budget());
-        self.execute_parsed_observed(script, &guard, None)
+        self.execute_parsed_observed(script, &self.default_guard(), None)
     }
 
     /// [`Session::execute_parsed`] under an externally owned guard that
@@ -690,7 +719,7 @@ impl Session {
     ) -> Result<Vec<StmtOutput>> {
         // Cancellation point: a statement batch can be aborted before any
         // epoch is captured or state is touched.
-        graql_types::failpoint!("core/exec/cancel", graql_types::GraqlError::exec);
+        graql_types::failpoint!(self.shared.faults, "core/exec/cancel", GraqlError::exec);
         guard.check()?;
         for stmt in &script.statements {
             self.check(stmt)?;
@@ -744,7 +773,11 @@ impl Session {
             run_stmts
                 .iter()
                 .map(|s| {
-                    graql_types::failpoint!("core/exec/cancel-stmt", GraqlError::exec);
+                    graql_types::failpoint!(
+                        self.shared.faults,
+                        "core/exec/cancel-stmt",
+                        GraqlError::exec
+                    );
                     guard.check()?;
                     match s {
                         Stmt::Select(sel) if prepared.is_some() => {
@@ -788,7 +821,11 @@ impl Session {
             crate::analyze::analyze_script(working.catalog(), script)?;
             let mut outs = Vec::with_capacity(script.statements.len());
             for s in &script.statements {
-                graql_types::failpoint!("core/exec/cancel-stmt", GraqlError::exec);
+                graql_types::failpoint!(
+                    self.shared.faults,
+                    "core/exec/cancel-stmt",
+                    GraqlError::exec
+                );
                 guard.check()?;
                 let out = self.apply_statement(&mut working, s, guard)?;
                 self.shared.install(Database::clone(&working));

@@ -47,6 +47,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::Instant;
 
 use graql_parser::ast;
+use graql_types::failpoints::Faults;
 use graql_types::{GraqlError, QueryGuard, Result, WalMetrics};
 
 use crate::database::Database;
@@ -156,6 +157,8 @@ struct WalInner {
     /// live sender; a hung-up receiver is dropped on the next send.
     /// Locked only briefly and never while `queue` or `file` is held.
     subs: Mutex<Vec<mpsc::Sender<ShippedBatch>>>,
+    /// The owning server's fault handle.
+    faults: Faults,
 }
 
 /// Handle to one database's write-ahead log. Owns the commit thread;
@@ -180,6 +183,17 @@ impl Wal {
         opts: DurabilityOptions,
         metrics: Arc<WalMetrics>,
     ) -> Result<(Database, Wal, RecoveryReport)> {
+        Wal::open_with_faults(dir, opts, metrics, Faults::default())
+    }
+
+    /// [`Wal::open`] for a log whose fault sites (`core/wal/*`, and the
+    /// `core/persist/*` sites of its snapshots) consult `faults`.
+    pub(crate) fn open_with_faults(
+        dir: &Path,
+        opts: DurabilityOptions,
+        metrics: Arc<WalMetrics>,
+        faults: Faults,
+    ) -> Result<(Database, Wal, RecoveryReport)> {
         let io = |e: std::io::Error| GraqlError::ingest(format!("wal: {e}"));
         std::fs::create_dir_all(dir).map_err(io)?;
         let (generation, watermark) = read_meta(dir)?;
@@ -189,7 +203,7 @@ impl Wal {
         let snap = snapshot_dir(dir, generation);
         let mut db = if snap.exists() {
             report.snapshot_loaded = true;
-            let mut db = crate::persist::load_dir(&snap)?;
+            let mut db = crate::persist::load_dir(&snap, &faults)?;
             // The snapshot directory is an implementation detail; ingest
             // paths must not resolve into it.
             db.set_data_dir(PathBuf::new());
@@ -273,6 +287,7 @@ impl Wal {
             metrics,
             opts,
             subs: Mutex::new(Vec::new()),
+            faults,
         });
         let thread = {
             let inner = Arc::clone(&inner);
@@ -308,7 +323,7 @@ impl Wal {
             statements: vec![stmt.clone()],
         };
         WalPayload::Stmt {
-            ir: crate::ir::encode(&script).to_vec(),
+            ir: crate::ir::encode(&script),
         }
     }
 
@@ -361,12 +376,16 @@ impl Wal {
         }
         let generation = q.generation + 1;
         let watermark = q.next_lsn;
-        crate::persist::save_dir(db, &snapshot_dir(&self.inner.dir, generation))?;
+        crate::persist::save_dir(
+            db,
+            &snapshot_dir(&self.inner.dir, generation),
+            &self.inner.faults,
+        )?;
         // The fault site sits in the checkpoint's only interesting crash
         // window: the new snapshot exists but wal.meta still names the old
         // generation. Recovery must load the old generation, replay the
         // full log, and sweep the orphan.
-        graql_types::failpoint!("core/wal/checkpoint", GraqlError::ingest);
+        graql_types::failpoint!(self.inner.faults, "core/wal/checkpoint", GraqlError::ingest);
         write_meta(&self.inner.dir, generation, watermark)?;
         {
             let mut f = lock(&self.inner.file);
@@ -728,7 +747,7 @@ fn write_batch(
     let mut written = 0u64;
     for rec in batch {
         #[cfg(feature = "failpoints")]
-        if let Some(action) = graql_types::failpoints::hit("core/wal/append") {
+        if let Some(action) = inner.faults.hit("core/wal/append") {
             use graql_types::failpoints::Action;
             match action {
                 Action::Delay(d) => std::thread::sleep(d),
@@ -768,7 +787,7 @@ fn write_batch(
         written += rec.frame.len() as u64;
     }
     #[cfg(feature = "failpoints")]
-    if let Some(action) = graql_types::failpoints::hit("core/wal/fsync") {
+    if let Some(action) = inner.faults.hit("core/wal/fsync") {
         use graql_types::failpoints::Action;
         match action {
             Action::Delay(d) => std::thread::sleep(d),

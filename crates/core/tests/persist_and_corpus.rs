@@ -3,6 +3,7 @@
 //! after a save/load cycle.
 
 use graql_core::{load_dir, save_dir, StmtOutput};
+use graql_types::failpoints::Faults;
 use graql_types::Value;
 
 fn params(db: &mut graql_core::Database) {
@@ -21,8 +22,8 @@ fn berlin_database_survives_save_load() {
 
     let mut db = graql_bsbm::build_database(graql_bsbm::Scale::new(80)).unwrap();
     params(&mut db);
-    save_dir(&db, &dir).unwrap();
-    let mut back = load_dir(&dir).unwrap();
+    save_dir(&db, &dir, &Faults::default()).unwrap();
+    let mut back = load_dir(&dir, &Faults::default()).unwrap();
     params(&mut back);
 
     // Graph shape identical.

@@ -45,6 +45,7 @@ use std::time::{Duration, Instant};
 
 use graql_core::{Role, SessionOutput};
 use graql_parser::ast::{Script, Stmt};
+use graql_types::failpoints::Faults;
 use graql_types::{Diagnostics, GraqlError, Result};
 
 use crate::frame::{read_frame, write_frame, FrameRead, MAX_FRAME};
@@ -196,6 +197,9 @@ pub struct RemoteSession {
     awaiting_control: std::collections::HashSet<u64>,
     /// Control replies (pong, reports, ...) routed by id.
     control: HashMap<u64, Msg>,
+    /// The session's own fault handle: its frame I/O and the
+    /// `net/client/*` sites consult it, whatever server it talks to.
+    faults: Faults,
 }
 
 /// Connects to the first reachable of `addrs`. Failures are retryable:
@@ -246,6 +250,7 @@ pub(crate) fn sleep_backoff(policy: &RetryPolicy, attempt: u32, jitter: &mut u64
 pub struct CancelHandle {
     stream: TcpStream,
     max_frame: usize,
+    faults: Faults,
 }
 
 impl CancelHandle {
@@ -255,14 +260,14 @@ impl CancelHandle {
     pub fn cancel(&self) -> Result<()> {
         let payload = proto::encode_tagged(0, &Msg::Cancel);
         let mut w = &self.stream;
-        write_frame(&mut w, &payload, self.max_frame)
+        write_frame(&mut w, &payload, self.max_frame, &self.faults)
     }
 
     /// Requests cancellation of one specific in-flight request.
     pub fn cancel_request(&self, request_id: u64) -> Result<()> {
         let payload = proto::encode_tagged(request_id, &Msg::Cancel);
         let mut w = &self.stream;
-        write_frame(&mut w, &payload, self.max_frame)
+        write_frame(&mut w, &payload, self.max_frame, &self.faults)
     }
 }
 
@@ -276,6 +281,7 @@ impl RemoteSession {
                 .try_clone()
                 .map_err(|e| GraqlError::net(format!("cannot clone socket: {e}")))?,
             max_frame: self.max_frame,
+            faults: self.faults.clone(),
         })
     }
 }
@@ -323,6 +329,7 @@ impl RemoteSession {
             completed: HashMap::new(),
             awaiting_control: std::collections::HashSet::new(),
             control: HashMap::new(),
+            faults: Faults::default(),
         };
         loop {
             match session.handshake() {
@@ -337,6 +344,12 @@ impl RemoteSession {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// The session's fault handle; tests arm it to inject client-side
+    /// faults.
+    pub fn faults(&self) -> &Faults {
+        &self.faults
     }
 
     /// The banner the server sent in `Welcome`.
@@ -551,7 +564,7 @@ impl RemoteSession {
         self.stream
             .set_read_timeout(Some(wait.max(Duration::from_millis(1))))
             .map_err(|e| GraqlError::net(format!("read timeout: {e}")))?;
-        match read_frame(&mut self.stream, self.max_frame) {
+        match read_frame(&mut self.stream, self.max_frame, &self.faults) {
             Ok(FrameRead::Frame(p)) => {
                 let (id, msg) = proto::decode_tagged(&p)?;
                 self.route(id, msg);
@@ -828,15 +841,15 @@ impl RemoteSession {
     }
 
     fn send_tagged(&mut self, request_id: u64, msg: &Msg) -> Result<()> {
-        graql_types::failpoint!("net/client/send-delay");
+        graql_types::failpoint!(self.faults, "net/client/send-delay");
         let payload = proto::encode_tagged(request_id, msg);
-        write_frame(&mut self.stream, &payload, self.max_frame)
+        write_frame(&mut self.stream, &payload, self.max_frame, &self.faults)
     }
 
     /// Receives one message ignoring its tag — handshake only, where the
     /// pipeline is empty and exactly one reply is owed.
     fn recv_direct(&mut self) -> Result<Msg> {
-        match read_frame(&mut self.stream, self.max_frame)? {
+        match read_frame(&mut self.stream, self.max_frame, &self.faults)? {
             FrameRead::Frame(p) => proto::decode_tagged(&p).map(|(_, m)| m),
             FrameRead::TimedOut => Err(GraqlError::net_retryable(
                 "server did not reply within the deadline",

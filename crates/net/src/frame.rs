@@ -7,9 +7,14 @@
 //! a timeout while waiting for a new frame header is a clean idle tick
 //! (so servers can poll their shutdown flag), while a timeout in the
 //! middle of a frame is a stalled peer and a hard error.
+//!
+//! Both directions take the [`Faults`] handle of the endpoint doing the
+//! I/O (the server's for its side of a connection, the session's for
+//! the client's), which the `net/frame/*` failpoint sites consult.
 
 use std::io::{ErrorKind, Read, Write};
 
+use graql_types::failpoints::Faults;
 use graql_types::{GraqlError, Result};
 
 /// Default hard cap on one frame's payload (32 MiB). Large result tables
@@ -76,9 +81,9 @@ fn read_exact_frame(r: &mut impl Read, buf: &mut [u8], start_of_frame: bool) -> 
 /// [`FrameRead::TimedOut`]; EOF at a frame boundary yields
 /// [`FrameRead::Closed`]; oversized lengths and mid-frame stalls are
 /// errors.
-pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<FrameRead> {
-    graql_types::failpoint!("net/frame/read-delay");
-    graql_types::failpoint!("net/frame/read-err", GraqlError::net_retryable);
+pub fn read_frame(r: &mut impl Read, max_frame: usize, faults: &Faults) -> Result<FrameRead> {
+    graql_types::failpoint!(faults, "net/frame/read-delay");
+    graql_types::failpoint!(faults, "net/frame/read-err", GraqlError::net_retryable);
     let mut header = [0u8; 4];
     match read_exact_frame(r, &mut header, true)? {
         Fill::Complete => {}
@@ -97,21 +102,26 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<FrameRead> {
 }
 
 /// Writes one frame (length header + payload) and flushes.
-pub fn write_frame(w: &mut impl Write, payload: &[u8], max_frame: usize) -> Result<()> {
+pub fn write_frame(
+    w: &mut impl Write,
+    payload: &[u8],
+    max_frame: usize,
+    faults: &Faults,
+) -> Result<()> {
     if payload.len() > max_frame {
         return Err(GraqlError::net(format!(
             "refusing to send a {}-byte frame (limit {max_frame})",
             payload.len()
         )));
     }
-    graql_types::failpoint!("net/frame/write-delay");
-    graql_types::failpoint!("net/frame/write-err", GraqlError::net_retryable);
+    graql_types::failpoint!(faults, "net/frame/write-delay");
+    graql_types::failpoint!(faults, "net/frame/write-err", GraqlError::net_retryable);
     #[cfg(feature = "failpoints")]
     let corrupted: Vec<u8>;
     #[cfg(feature = "failpoints")]
     let payload: &[u8] = {
-        use graql_types::failpoints::{self, Action};
-        if failpoints::hit("net/frame/write-truncate").is_some() && !payload.is_empty() {
+        use graql_types::failpoints::Action;
+        if faults.hit("net/frame/write-truncate").is_some() && !payload.is_empty() {
             // A mid-frame death: the header promises more bytes than ever
             // arrive, so the peer sees a hard "closed mid-frame" error —
             // never a silently short payload.
@@ -124,10 +134,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8], max_frame: usize) -> Resu
                 "failpoint 'net/frame/write-truncate': frame truncated mid-write",
             ));
         }
-        if matches!(
-            failpoints::hit("net/frame/write-corrupt"),
-            Some(Action::Corrupt)
-        ) && !payload.is_empty()
+        if matches!(faults.hit("net/frame/write-corrupt"), Some(Action::Corrupt))
+            && !payload.is_empty()
         {
             // Flipping the first payload byte corrupts the message tag, so
             // the peer's decoder rejects the frame deterministically.
@@ -159,15 +167,16 @@ mod tests {
 
     #[test]
     fn round_trip() {
+        let off = Faults::default();
         let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello", MAX_FRAME).unwrap();
-        write_frame(&mut buf, b"", MAX_FRAME).unwrap();
+        write_frame(&mut buf, b"hello", MAX_FRAME, &off).unwrap();
+        write_frame(&mut buf, b"", MAX_FRAME, &off).unwrap();
         let mut r = Cursor::new(buf);
-        let FrameRead::Frame(p) = read_frame(&mut r, MAX_FRAME).unwrap() else {
+        let FrameRead::Frame(p) = read_frame(&mut r, MAX_FRAME, &off).unwrap() else {
             panic!()
         };
         assert_eq!(p, b"hello");
-        let FrameRead::Frame(p) = read_frame(&mut r, MAX_FRAME).unwrap() else {
+        let FrameRead::Frame(p) = read_frame(&mut r, MAX_FRAME, &off).unwrap() else {
             panic!()
         };
         assert!(p.is_empty());
@@ -177,7 +186,7 @@ mod tests {
     fn oversized_length_rejected_before_allocation() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame(&mut Cursor::new(buf), 1024).unwrap_err();
+        let err = read_frame(&mut Cursor::new(buf), 1024, &Faults::default()).unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
     }
 
@@ -186,13 +195,13 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&100u32.to_le_bytes());
         buf.extend_from_slice(b"short");
-        let err = read_frame(&mut Cursor::new(buf), 1024).unwrap_err();
+        let err = read_frame(&mut Cursor::new(buf), 1024, &Faults::default()).unwrap_err();
         assert!(err.to_string().contains("mid-frame"), "{err}");
     }
 
     #[test]
     fn writer_refuses_oversized_frames() {
         let mut sink = Vec::new();
-        assert!(write_frame(&mut sink, &[0u8; 32], 16).is_err());
+        assert!(write_frame(&mut sink, &[0u8; 32], 16, &Faults::default()).is_err());
     }
 }

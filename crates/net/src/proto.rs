@@ -46,9 +46,9 @@
 //! Varints are LEB128 `u32`s, which keeps a one-row reply no larger than
 //! its cell-by-cell protocol-5 form.
 
-use bytes::BufMut;
 use graql_core::{Role, SessionOutput};
 use graql_table::{BatchColumn, BitSet, ColumnBatch, ColumnDef, Table, TableSchema};
+use graql_types::codec::{self, Put};
 use graql_types::{codes, DataType, Diagnostic, Diagnostics, GraqlError, Result, Severity, Span};
 
 /// Protocol version spoken by this build. Bump on any incompatible change
@@ -206,59 +206,32 @@ pub enum Msg {
     ReplHeartbeat { durable_lsn: u64 },
 }
 
-// -- low-level helpers (same shapes as the IR codec) -------------------------
-
-fn put_str(b: &mut Vec<u8>, s: &str) {
-    b.put_u32_le(s.len() as u32);
-    b.put_slice(s.as_bytes());
-}
+// -- low-level helpers (the shared codec, with this protocol's errors) -------
 
 fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    if buf.is_empty() {
-        return Err(GraqlError::net("truncated message"));
-    }
-    let v = buf[0];
-    *buf = &buf[1..];
-    Ok(v)
+    get_array(buf).map(u8::from_le_bytes)
 }
 
 fn get_u16(buf: &mut &[u8]) -> Result<u16> {
-    if buf.len() < 2 {
-        return Err(GraqlError::net("truncated message"));
-    }
-    let v = u16::from_le_bytes([buf[0], buf[1]]);
-    *buf = &buf[2..];
-    Ok(v)
+    get_array(buf).map(u16::from_le_bytes)
 }
 
 fn get_u32(buf: &mut &[u8]) -> Result<u32> {
-    if buf.len() < 4 {
-        return Err(GraqlError::net("truncated message"));
-    }
-    let v = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-    *buf = &buf[4..];
-    Ok(v)
+    get_array(buf).map(u32::from_le_bytes)
 }
 
 fn get_u64(buf: &mut &[u8]) -> Result<u64> {
-    if buf.len() < 8 {
-        return Err(GraqlError::net("truncated message"));
-    }
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&buf[..8]);
-    *buf = &buf[8..];
-    Ok(u64::from_le_bytes(a))
+    get_array(buf).map(u64::from_le_bytes)
+}
+
+fn get_array<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N]> {
+    codec::take_array(buf).ok_or_else(|| GraqlError::net("truncated message"))
 }
 
 /// The next `n` bytes, checked against what is left before anything is
 /// allocated for them.
 fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
-    if buf.len() < n {
-        return Err(GraqlError::net("truncated message payload"));
-    }
-    let (head, rest) = buf.split_at(n);
-    *buf = rest;
-    Ok(head)
+    codec::take(buf, n).ok_or_else(|| GraqlError::net("truncated message payload"))
 }
 
 fn get_bytes(buf: &mut &[u8]) -> Result<Vec<u8>> {
@@ -505,7 +478,7 @@ fn encode_into(b: &mut Vec<u8>, msg: &Msg) {
             b.put_u8(0);
             b.put_slice(MAGIC);
             b.put_u16_le(*proto);
-            put_str(b, user);
+            b.put_str(user);
         }
         Msg::Submit { ir } => {
             b.put_u8(1);
@@ -514,7 +487,7 @@ fn encode_into(b: &mut Vec<u8>, msg: &Msg) {
         }
         Msg::Check { text } => {
             b.put_u8(2);
-            put_str(b, text);
+            b.put_str(text);
         }
         Msg::Describe => b.put_u8(3),
         Msg::Ping => b.put_u8(4),
@@ -538,7 +511,7 @@ fn encode_into(b: &mut Vec<u8>, msg: &Msg) {
             b.put_u8(16);
             b.put_u16_le(*proto);
             b.put_u8(*role);
-            put_str(b, server);
+            b.put_str(server);
         }
         Msg::Error {
             status,
@@ -547,23 +520,23 @@ fn encode_into(b: &mut Vec<u8>, msg: &Msg) {
         } => {
             b.put_u8(17);
             b.put_u8(*status);
-            put_str(b, code);
-            put_str(b, message);
+            b.put_str(code);
+            b.put_str(message);
         }
         Msg::Created { name } => {
             b.put_u8(18);
-            put_str(b, name);
+            b.put_str(name);
         }
         Msg::Ingested { table, rows } => {
             b.put_u8(19);
-            put_str(b, table);
+            b.put_str(table);
             b.put_u64_le(*rows);
         }
         Msg::TableHeader { cols } => {
             b.put_u8(20);
             b.put_u32_le(cols.len() as u32);
             for (name, dt) in cols {
-                put_str(b, name);
+                b.put_str(name);
                 put_dtype(b, *dt);
             }
         }
@@ -580,7 +553,7 @@ fn encode_into(b: &mut Vec<u8>, msg: &Msg) {
             b.put_u8(23);
             b.put_u64_le(*n_vertices);
             b.put_u64_le(*n_edges);
-            put_str(b, summary);
+            b.put_str(summary);
         }
         Msg::Pipelined => b.put_u8(24),
         Msg::Done { stmts, micros } => {
@@ -593,30 +566,30 @@ fn encode_into(b: &mut Vec<u8>, msg: &Msg) {
             b.put_u32_le(diags.len() as u32);
             for d in diags {
                 b.put_u8(d.severity);
-                put_str(b, &d.code);
-                put_str(b, &d.message);
+                b.put_str(&d.code);
+                b.put_str(&d.message);
                 b.put_u32_le(d.line);
                 b.put_u32_le(d.col);
                 b.put_u32_le(d.len);
                 b.put_u32_le(d.notes.len() as u32);
                 for n in &d.notes {
-                    put_str(b, n);
+                    b.put_str(n);
                 }
             }
         }
         Msg::DescribeReport { text } => {
             b.put_u8(27);
-            put_str(b, text);
+            b.put_str(text);
         }
         Msg::Pong => b.put_u8(28),
         Msg::ProfileReport { text, json } => {
             b.put_u8(29);
-            put_str(b, text);
-            put_str(b, json);
+            b.put_str(text);
+            b.put_str(json);
         }
         Msg::MetricsReport { text } => {
             b.put_u8(30);
-            put_str(b, text);
+            b.put_str(text);
         }
         Msg::ReplSnapshot {
             watermark,
@@ -626,7 +599,7 @@ fn encode_into(b: &mut Vec<u8>, msg: &Msg) {
         } => {
             b.put_u8(31);
             b.put_u64_le(*watermark);
-            put_str(b, name);
+            b.put_str(name);
             b.put_u32_le(data.len() as u32);
             b.put_slice(data);
             b.put_u8(u8::from(*last));

@@ -16,7 +16,8 @@
 //! * **Connection loss** (primary crash, network fault, a
 //!   `net/repl/{stream,apply,ack}` failpoint): bounded-backoff reconnect,
 //!   resuming from the local durable watermark. Overlap the primary may
-//!   re-send is discarded by LSN during apply.
+//!   re-send is discarded by LSN during apply. The tailer's sites (and
+//!   its frame I/O) consult the replica server's fault handle.
 //! * **Initial sync / falling behind a checkpoint**: the primary streams
 //!   its latest snapshot in [`Msg::ReplSnapshot`] chunks; the tailer
 //!   materializes the files, loads them through `graql_core::load_dir`
@@ -34,6 +35,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use graql_core::Server;
+use graql_types::failpoints::Faults;
 use graql_types::{GraqlError, Result};
 
 use crate::client::{sleep_backoff, RetryPolicy};
@@ -176,7 +178,7 @@ fn tail_once(
     let send = |msg: &Msg| -> Result<()> {
         let payload = proto::encode_tagged(SUB_ID, msg);
         let mut w = &stream;
-        write_frame(&mut w, &payload, MAX_FRAME)
+        write_frame(&mut w, &payload, MAX_FRAME, server.faults())
     };
 
     // Handshake as admin: the subscription is an administrative stream.
@@ -184,7 +186,7 @@ fn tail_once(
         proto: PROTO_VERSION,
         user: "admin".to_string(),
     })?;
-    match recv_blocking(&stream, stop)? {
+    match recv_blocking(&stream, stop, server.faults())? {
         Recv::Msg(Msg::Welcome { proto, .. }) if proto == PROTO_VERSION => on_connected(),
         Recv::Msg(Msg::Welcome { proto, .. }) => {
             return Err(GraqlError::net(format!(
@@ -211,7 +213,7 @@ fn tail_once(
             let _ = send(&Msg::Goodbye);
             return Ok(TailExit::Done);
         }
-        let msg = match recv_blocking(&stream, stop)? {
+        let msg = match recv_blocking(&stream, stop, server.faults())? {
             Recv::Msg(m) => m,
             Recv::Stopped => {
                 let _ = send(&Msg::Goodbye);
@@ -245,13 +247,13 @@ fn tail_once(
                 // Fault site: the batch arrived but was not applied. On
                 // reconnect the subscription resumes at the same durable
                 // watermark and the primary re-sends it.
-                graql_types::failpoint!("net/repl/apply", GraqlError::net);
+                graql_types::failpoint!(server.faults(), "net/repl/apply", GraqlError::net);
                 let records = graql_core::decode_frames(&frames)?;
                 let durable = server.apply_replicated_records(&records)?;
                 // Fault site: applied (locally durable) but the ack is
                 // lost. On reconnect the primary resumes *after* this
                 // batch — nothing is applied twice.
-                graql_types::failpoint!("net/repl/ack", GraqlError::net);
+                graql_types::failpoint!(server.faults(), "net/repl/ack", GraqlError::net);
                 send(&Msg::ReplAck { lsn: durable })?;
             }
             Msg::ReplHeartbeat { durable_lsn } => {
@@ -285,13 +287,13 @@ enum Recv {
 
 /// Blocks until one full message arrives, polling `stop` between frame
 /// timeouts.
-fn recv_blocking(stream: &TcpStream, stop: &AtomicBool) -> Result<Recv> {
+fn recv_blocking(stream: &TcpStream, stop: &AtomicBool, faults: &Faults) -> Result<Recv> {
     loop {
         if stop.load(Ordering::SeqCst) {
             return Ok(Recv::Stopped);
         }
         let mut r = stream;
-        match read_frame(&mut r, MAX_FRAME)? {
+        match read_frame(&mut r, MAX_FRAME, faults)? {
             FrameRead::Frame(p) => return proto::decode_tagged(&p).map(|(_, m)| Recv::Msg(m)),
             FrameRead::TimedOut => continue,
             FrameRead::Closed => return Ok(Recv::Closed),
@@ -327,7 +329,7 @@ fn install_snapshot(
             std::fs::write(dir.join(name), data)
                 .map_err(|e| GraqlError::net(format!("snapshot write {name}: {e}")))?;
         }
-        let db = graql_core::load_dir(&dir)?;
+        let db = graql_core::load_dir(&dir, server.faults())?;
         server.install_snapshot(db, watermark)
     })();
     let _ = std::fs::remove_dir_all(&dir);

@@ -34,6 +34,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use graql_core::{ReplRole, Role, Server, Session};
+use graql_types::failpoints::Faults;
 use graql_types::{
     GraqlError, ProfileReport, QueryBudget, QueryGuard, QueryOutcome, QueryProfile, Result,
 };
@@ -839,6 +840,8 @@ struct Conn {
     write: Mutex<()>,
     max_frame: usize,
     stats: Arc<NetStats>,
+    /// The served server's fault handle.
+    faults: Faults,
     /// Set when the client vanished or the connection is being torn
     /// down; workers skip their replies.
     closed: AtomicBool,
@@ -855,7 +858,7 @@ impl Conn {
         }
         let _w = self.write.lock().expect("conn write lock poisoned");
         let mut w = &self.stream;
-        write_frame(&mut w, payload, self.max_frame)?;
+        write_frame(&mut w, payload, self.max_frame, &self.faults)?;
         self.stats.msgs_out.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_out
@@ -950,7 +953,7 @@ fn accept_loop(
                     #[cfg(feature = "failpoints")]
                     {
                         matches!(
-                            graql_types::failpoints::hit("net/server/accept-refuse"),
+                            server.faults().hit("net/server/accept-refuse"),
                             Some(graql_types::failpoints::Action::Refuse)
                         )
                     }
@@ -960,7 +963,7 @@ fn accept_loop(
                     }
                 };
                 if active >= opts.max_connections || refuse_armed {
-                    refuse_connection(stream, active, &opts, &stats);
+                    refuse_connection(stream, active, &opts, &stats, server.faults());
                     continue;
                 }
                 let conn_id = next_conn_id;
@@ -1001,7 +1004,13 @@ fn accept_loop(
 
 /// Sheds one connection at accept time: best-effort retryable error
 /// frame, then close. The client's retry loop backs off and reconnects.
-fn refuse_connection(stream: TcpStream, active: u64, opts: &ServeOptions, stats: &NetStats) {
+fn refuse_connection(
+    stream: TcpStream,
+    active: u64,
+    opts: &ServeOptions,
+    stats: &NetStats,
+    faults: &Faults,
+) {
     stats.connections_refused.fetch_add(1, Ordering::Relaxed);
     // The accepted socket may inherit the listener's nonblocking mode on
     // some platforms; the refusal write should block (briefly).
@@ -1014,7 +1023,7 @@ fn refuse_connection(stream: TcpStream, active: u64, opts: &ServeOptions, stats:
         ))),
     );
     let mut w = &stream;
-    let _ = write_frame(&mut w, &payload, opts.max_frame);
+    let _ = write_frame(&mut w, &payload, opts.max_frame, faults);
 }
 
 /// A connection's framed transport with counters — used by the paths a
@@ -1024,13 +1033,14 @@ struct Wire<'a> {
     stream: &'a TcpStream,
     stats: &'a NetStats,
     max_frame: usize,
+    faults: &'a Faults,
 }
 
 impl Wire<'_> {
     fn send(&self, request_id: u64, msg: &Msg) -> Result<()> {
         let payload = proto::encode_tagged(request_id, msg);
         let mut w = self.stream;
-        write_frame(&mut w, &payload, self.max_frame)?;
+        write_frame(&mut w, &payload, self.max_frame, self.faults)?;
         self.stats.msgs_out.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_out
@@ -1040,7 +1050,7 @@ impl Wire<'_> {
 
     fn recv(&self) -> Result<FrameRead> {
         let mut r = self.stream;
-        let got = read_frame(&mut r, self.max_frame)?;
+        let got = read_frame(&mut r, self.max_frame, self.faults)?;
         if let FrameRead::Frame(p) = &got {
             self.stats.msgs_in.fetch_add(1, Ordering::Relaxed);
             self.stats
@@ -1080,6 +1090,7 @@ fn handle_connection(
         stream: &stream,
         stats,
         max_frame: opts.max_frame,
+        faults: server.faults(),
     };
 
     let mut session = match handshake(&wire, server, opts, shutdown)? {
@@ -1096,6 +1107,7 @@ fn handle_connection(
         write: Mutex::new(()),
         max_frame: opts.max_frame,
         stats: Arc::clone(stats),
+        faults: server.faults().clone(),
         closed: AtomicBool::new(false),
         inflight: Mutex::new(HashMap::new()),
     });
@@ -1192,7 +1204,8 @@ fn handle_connection(
                             Some(d) => d.min(opts.request_timeout),
                             None => opts.request_timeout,
                         });
-                        let guard = Arc::new(QueryGuard::new(budget));
+                        let guard = QueryGuard::with_faults(budget, server.faults().clone());
+                        let guard = Arc::new(guard);
                         inflight.insert(request_id, Arc::clone(&guard));
                         Some(guard)
                     }
@@ -1354,7 +1367,7 @@ fn execute_job(
         #[cfg(feature = "failpoints")]
         {
             matches!(
-                graql_types::failpoints::hit("net/server/shed"),
+                server.faults().hit("net/server/shed"),
                 Some(graql_types::failpoints::Action::Refuse)
             )
         }
@@ -1392,7 +1405,7 @@ fn run_submit(job: &Job, server: &Server, stats: &NetStats, slow: Option<&SlowLo
     let conn = &*job.conn;
     // Delay-only site: simulates a slow query under the request deadline
     // without wall-clock-sized sleeps in tests.
-    graql_types::failpoint!("net/server/exec-delay");
+    graql_types::failpoint!(server.faults(), "net/server/exec-delay");
 
     let guard = &*job.guard;
     // Slow-query logging needs the stage breakdown, so the whole request
@@ -1453,7 +1466,11 @@ fn run_submit(job: &Job, server: &Server, stats: &NetStats, slow: Option<&SlowLo
         }
     }
     #[cfg(feature = "failpoints")]
-    if graql_types::failpoints::hit("net/server/drop-before-reply").is_some() {
+    if server
+        .faults()
+        .hit("net/server/drop-before-reply")
+        .is_some()
+    {
         // The request executed but its reply is lost — the "server died
         // before replying" fault. Closing the socket unblocks the reader.
         conn.close();
@@ -1574,7 +1591,7 @@ fn stream_to_replica(
             if batch.last_lsn <= last_sent {
                 continue; // overlap between bootstrap view and live feed
             }
-            graql_types::failpoint!("net/repl/stream", GraqlError::net);
+            graql_types::failpoint!(server.faults(), "net/repl/stream", GraqlError::net);
             let span = batch.last_lsn - batch.first_lsn + 1;
             wire.send(
                 sub_id,

@@ -246,9 +246,11 @@ fn mid_stream_disconnect_is_typed_error() {
     let fake = std::thread::spawn(move || {
         use graql_net::frame::{read_frame, write_frame, FrameRead, MAX_FRAME};
         use graql_net::proto::{self, Msg};
+        use graql_types::failpoints::Faults;
         let (stream, _) = listener.accept().unwrap();
         let mut r = &stream;
-        let FrameRead::Frame(_hello) = read_frame(&mut r, MAX_FRAME).unwrap() else {
+        let FrameRead::Frame(_hello) = read_frame(&mut r, MAX_FRAME, &Faults::default()).unwrap()
+        else {
             return;
         };
         let welcome = proto::encode_tagged(
@@ -260,10 +262,10 @@ fn mid_stream_disconnect_is_typed_error() {
             },
         );
         let mut w = &stream;
-        write_frame(&mut w, &welcome, MAX_FRAME).unwrap();
+        write_frame(&mut w, &welcome, MAX_FRAME, &Faults::default()).unwrap();
         // Wait for the Submit, then vanish without replying.
         let mut r = &stream;
-        let _ = read_frame(&mut r, MAX_FRAME);
+        let _ = read_frame(&mut r, MAX_FRAME, &Faults::default());
         drop(stream);
     });
 

@@ -11,6 +11,7 @@ use graql_core::SessionOutput;
 use graql_net::frame::{read_frame, write_frame, FrameRead, MAX_FRAME};
 use graql_net::proto::{self, Msg, TableAssembler, BATCH_ROWS, PROTO_VERSION};
 use graql_table::{BatchColumn, BitSet, ColumnBatch, Table, TableSchema};
+use graql_types::failpoints::Faults;
 use graql_types::{DataType, Date, GraqlError, Value};
 use proptest::prelude::*;
 
@@ -125,7 +126,7 @@ proptest! {
     fn frame_reader_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let mut r = Cursor::new(bytes);
         loop {
-            match read_frame(&mut r, 1024) {
+            match read_frame(&mut r, 1024, &Faults::default()) {
                 Ok(FrameRead::Frame(p)) => prop_assert!(p.len() <= 1024),
                 Ok(FrameRead::Closed) => break,
                 Ok(FrameRead::TimedOut) => break, // not possible on Cursor, but fine
@@ -186,7 +187,7 @@ proptest! {
     fn oversized_declared_lengths_rejected(len in 1025u32..u32::MAX) {
         let mut buf = len.to_le_bytes().to_vec();
         buf.extend_from_slice(&[0u8; 64]);
-        let err = read_frame(&mut Cursor::new(buf), 1024).unwrap_err();
+        let err = read_frame(&mut Cursor::new(buf), 1024, &Faults::default()).unwrap_err();
         prop_assert!(err.to_string().contains("exceeds"));
     }
 
@@ -196,8 +197,8 @@ proptest! {
     fn hello_round_trips_through_framing(proto_v in any::<u16>(), user in "[ -~]{0,40}") {
         let msg = Msg::Hello { proto: proto_v, user };
         let mut buf = Vec::new();
-        write_frame(&mut buf, &proto::encode(&msg), MAX_FRAME).unwrap();
-        let FrameRead::Frame(p) = read_frame(&mut Cursor::new(buf), MAX_FRAME).unwrap() else {
+        write_frame(&mut buf, &proto::encode(&msg), MAX_FRAME, &Faults::default()).unwrap();
+        let FrameRead::Frame(p) = read_frame(&mut Cursor::new(buf), MAX_FRAME, &Faults::default()).unwrap() else {
             panic!("expected a frame");
         };
         prop_assert_eq!(proto::decode(&p).unwrap(), msg);
@@ -391,10 +392,10 @@ fn version_mismatch_rejected_cleanly() {
         },
     );
     let mut w = &stream;
-    write_frame(&mut w, &hello, MAX_FRAME).unwrap();
+    write_frame(&mut w, &hello, MAX_FRAME, &Faults::default()).unwrap();
 
     let mut r = &stream;
-    let FrameRead::Frame(p) = read_frame(&mut r, MAX_FRAME).unwrap() else {
+    let FrameRead::Frame(p) = read_frame(&mut r, MAX_FRAME, &Faults::default()).unwrap() else {
         panic!("expected an error frame, not silence");
     };
     match proto::decode_tagged(&p).unwrap() {
@@ -407,7 +408,7 @@ fn version_mismatch_rejected_cleanly() {
     // The server closes after rejecting; the next read sees EOF, not a hang.
     let mut r = &stream;
     assert!(matches!(
-        read_frame(&mut r, MAX_FRAME),
+        read_frame(&mut r, MAX_FRAME, &Faults::default()),
         Ok(FrameRead::Closed) | Err(_)
     ));
     net.shutdown();
@@ -439,13 +440,14 @@ fn non_graql_client_rejected() {
         &mut w,
         b"\x01\x00\x00\x00\x00\x00\x00\x00\x00XXXX\x01\x00",
         MAX_FRAME,
+        &Faults::default(),
     )
     .unwrap();
 
     // The connection errors out server-side; we observe close or error,
     // never a hang (read timeout above bounds the wait).
     let mut r = &stream;
-    match read_frame(&mut r, MAX_FRAME) {
+    match read_frame(&mut r, MAX_FRAME, &Faults::default()) {
         Ok(FrameRead::Frame(_)) | Ok(FrameRead::Closed) | Err(_) => {}
         Ok(FrameRead::TimedOut) => panic!("server hung on a bad handshake"),
     }

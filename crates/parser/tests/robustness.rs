@@ -1,6 +1,8 @@
 //! Parser robustness: no input may panic the front end, and every parse
 //! failure must carry a source position.
 
+use graql_parser::lexer::lex;
+use graql_parser::token::TokenKind;
 use graql_parser::{parse_script, parse_statement};
 use graql_types::GraqlError;
 use proptest::prelude::*;
@@ -97,4 +99,83 @@ fn long_paths_parse() {
     let stmt = parse_statement(&src).unwrap();
     let printed = stmt.to_string();
     assert_eq!(parse_statement(&printed).unwrap(), stmt);
+}
+
+/// The token kinds of `src`, without the trailing `Eof`.
+fn kinds(src: &str) -> Vec<TokenKind> {
+    let mut toks: Vec<TokenKind> = lex(src).unwrap().into_iter().map(|t| t.kind).collect();
+    assert_eq!(toks.pop(), Some(TokenKind::Eof), "{src:?}");
+    toks
+}
+
+fn ident(s: &str) -> TokenKind {
+    TokenKind::Ident(s.to_string())
+}
+
+/// An identifier that starts with (or is) a keyword is one identifier:
+/// keywords are matched by the parser in context, never split off a
+/// longer word by the lexer.
+#[test]
+fn keyword_prefixed_identifiers_lex_whole() {
+    for word in "order or orders android index foreachable intotal selected".split(' ') {
+        assert_eq!(kinds(word), vec![ident(word)], "{word:?}");
+    }
+    // And they parse as names wherever a name goes, next to the
+    // keywords they start with.
+    let src = "select orders, android from table index \
+               where foreachable = 1 or intotal < 2 and selected >= 3 \
+               order by orders";
+    let stmt = parse_statement(src).unwrap();
+    assert_eq!(parse_statement(&stmt.to_string()).unwrap(), stmt);
+    for word in [
+        "orders",
+        "android",
+        "index",
+        "foreachable",
+        "intotal",
+        "selected",
+    ] {
+        assert!(stmt.to_string().contains(word), "{word} lost in {stmt}");
+    }
+}
+
+/// Comparison operators that share a prefix lex by longest match, with
+/// or without surrounding spaces; a space splits an operator.
+#[test]
+fn shared_prefix_operators_lex_longest_match() {
+    for (op, kind) in [
+        ("<", TokenKind::Lt),
+        ("<=", TokenKind::Le),
+        ("<>", TokenKind::Ne),
+        (">", TokenKind::Gt),
+        (">=", TokenKind::Ge),
+    ] {
+        let want = vec![ident("a"), kind, ident("b")];
+        assert_eq!(kinds(&format!("a{op}b")), want, "a{op}b");
+        assert_eq!(kinds(&format!("a {op} b")), want, "a {op} b");
+        let stmt = parse_statement(&format!("select a from table T where a{op}1")).unwrap();
+        let spaced = parse_statement(&format!("select a from table T where a {op} 1")).unwrap();
+        assert_eq!(stmt, spaced, "{op}");
+    }
+    assert_eq!(
+        kinds("a< =b"),
+        vec![ident("a"), TokenKind::Lt, TokenKind::Eq, ident("b")]
+    );
+    assert_eq!(
+        kinds("a> =b"),
+        vec![ident("a"), TokenKind::Gt, TokenKind::Eq, ident("b")]
+    );
+    assert_eq!(
+        kinds("a<>=b"),
+        vec![ident("a"), TokenKind::Ne, TokenKind::Eq, ident("b")]
+    );
+    assert_eq!(
+        kinds("a>=-1"),
+        vec![
+            ident("a"),
+            TokenKind::Ge,
+            TokenKind::Minus,
+            TokenKind::Int(1)
+        ]
+    );
 }

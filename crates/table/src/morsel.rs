@@ -27,7 +27,8 @@
 //!
 //! Failpoint sites `core/exec/morsel-dispatch` (per morsel claim, so it
 //! fires from real worker threads) and `core/exec/morsel-merge` (on the
-//! caller thread before reassembly) make both halves fault-testable.
+//! caller thread before reassembly) make both halves fault-testable;
+//! both consult the query guard's fault handle.
 //!
 //! The scheduler lives in this crate, below both of its users: the
 //! Table-1 kernels in [`crate::ops`] and the graph kernels in
@@ -163,7 +164,7 @@ where
         }
     }
 
-    graql_types::failpoint!("core/exec/morsel-merge", GraqlError::exec);
+    graql_types::failpoint!(guard.faults(), "core/exec/morsel-merge", GraqlError::exec);
     let mut out = Vec::with_capacity(n_morsels);
     for (m, slot) in slots.into_iter().enumerate() {
         out.push(slot.ok_or_else(|| GraqlError::exec(format!("internal: morsel {m} was lost")))?);
@@ -178,7 +179,11 @@ fn claim<T, F>(guard: &QueryGuard, m: usize, range: Range<usize>, task: &F) -> R
 where
     F: Fn(usize, Range<usize>) -> Result<T>,
 {
-    graql_types::failpoint!("core/exec/morsel-dispatch", GraqlError::exec);
+    graql_types::failpoint!(
+        guard.faults(),
+        "core/exec/morsel-dispatch",
+        GraqlError::exec
+    );
     guard.check()?;
     task(m, range)
 }

@@ -49,8 +49,8 @@ fn cmp_rows(t: &Table, keys: &[SortKey], a: u32, b: u32) -> Ordering {
 /// making the sort stable and deterministic).
 ///
 /// Run formation is morsel-parallel: each morsel sorts a contiguous run
-/// with [`cmp_rows`], then pairwise merges reassemble the single globally
-/// sorted index. Below [`SORT_PAR_MIN`] (or on one thread) that is one run
+/// with `cmp_rows`, then pairwise merges reassemble the single globally
+/// sorted index. Below `SORT_PAR_MIN` (or on one thread) that is one run
 /// sorted inline and no merge. A comparator sort cannot yield mid-run, so
 /// the guard is checked per run and per merge round (input size bounds
 /// the work between checks), and the index vector is charged to the

@@ -19,26 +19,22 @@ use graql_table::morsel;
 use graql_types::{GraqlError, QueryBudget, QueryGuard};
 use proptest::prelude::*;
 
-/// Runs the scheduler over `0..n_items`, returning the item sequence in
-/// merge order and asserting each item was claimed exactly once.
+/// Runs the scheduler over `0..n_items` under `guard`, returning the
+/// item sequence in merge order and asserting each item was claimed
+/// exactly once.
 fn run_and_flatten(
+    guard: &QueryGuard,
     n_items: usize,
     morsel_size: usize,
     threads: usize,
 ) -> graql_types::Result<Vec<usize>> {
     let claims: Vec<AtomicU32> = (0..n_items).map(|_| AtomicU32::new(0)).collect();
-    let parts = morsel::run_morsels(
-        QueryGuard::unlimited(),
-        n_items,
-        morsel_size,
-        threads,
-        |_, range| {
-            for i in range.clone() {
-                claims[i].fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(range.collect::<Vec<usize>>())
-        },
-    )?;
+    let parts = morsel::run_morsels(guard, n_items, morsel_size, threads, |_, range| {
+        for i in range.clone() {
+            claims[i].fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(range.collect::<Vec<usize>>())
+    })?;
     for (i, c) in claims.iter().enumerate() {
         assert_eq!(c.load(Ordering::Relaxed), 1, "item {i} claimed != once");
     }
@@ -57,7 +53,7 @@ proptest! {
         morsel_size in 1usize..600,
         threads in 1usize..9,
     ) {
-        let got = run_and_flatten(n_items, morsel_size, threads).unwrap();
+        let got = run_and_flatten(QueryGuard::unlimited(), n_items, morsel_size, threads).unwrap();
         let want: Vec<usize> = (0..n_items).collect();
         prop_assert_eq!(got, want);
     }
@@ -70,8 +66,9 @@ proptest! {
         morsel_size in 1usize..400,
         threads in 2usize..9,
     ) {
-        let serial = run_and_flatten(n_items, morsel_size, 1).unwrap();
-        let parallel = run_and_flatten(n_items, morsel_size, threads).unwrap();
+        let unlimited = QueryGuard::unlimited();
+        let serial = run_and_flatten(unlimited, n_items, morsel_size, 1).unwrap();
+        let parallel = run_and_flatten(unlimited, n_items, morsel_size, threads).unwrap();
         prop_assert_eq!(serial, parallel);
     }
 
@@ -170,46 +167,57 @@ proptest! {
 /// Seeded steal-interleaving chaos: probabilistic per-claim delays on the
 /// `core/exec/morsel-dispatch` failpoint shuffle which worker claims which
 /// morsel, and the merged output must not move. Only compiled with
-/// `--features failpoints` (the site is a no-op otherwise).
+/// `--features failpoints` (the site is a no-op otherwise). Each run arms
+/// its own guard's fault handle, so nothing is shared between tests.
 #[cfg(feature = "failpoints")]
 mod interleavings {
     use super::*;
-    use graql_types::failpoints;
-    use std::sync::Mutex;
+    use graql_types::failpoints::Faults;
 
-    /// The failpoint registry is process-global; serialize arming tests.
-    static ARM: Mutex<()> = Mutex::new(());
+    const SITE: &str = "core/exec/morsel-dispatch";
+
+    /// A guard whose dispatch site delays 40% of claims, seeded.
+    fn delaying_guard(seed: u64) -> QueryGuard {
+        let faults = Faults::default();
+        faults.arm(SITE, "40%delay(2)", seed).unwrap();
+        QueryGuard::with_faults(QueryBudget::UNLIMITED, faults)
+    }
 
     #[test]
     fn delayed_dispatch_keeps_order_deterministic() {
-        let _lock = ARM.lock().unwrap();
         for seed in [1u64, 2, 3, 4] {
-            failpoints::configure_seeded("core/exec/morsel-dispatch", "40%delay(2)", seed).unwrap();
-            let got = run_and_flatten(4000, 97, 8).unwrap();
-            failpoints::disarm("core/exec/morsel-dispatch");
+            let guard = delaying_guard(seed);
+            let got = run_and_flatten(&guard, 4000, 97, 8).unwrap();
             let want: Vec<usize> = (0..4000).collect();
             assert_eq!(got, want, "seed {seed} perturbed the merged order");
+            assert!(
+                guard.faults().fired_count(SITE) >= 1,
+                "seed {seed}: no delay fired"
+            );
         }
     }
 
     #[test]
     fn delayed_dispatch_keeps_first_error_deterministic() {
-        let _lock = ARM.lock().unwrap();
+        // The first error aborts the dispatch after a handful of claims,
+        // so any one seed may roll no delay; the seeds together must.
+        let mut fired = 0;
         for seed in [5u64, 6, 7] {
-            failpoints::configure_seeded("core/exec/morsel-dispatch", "40%delay(2)", seed).unwrap();
-            let res = morsel::run_morsels(QueryGuard::unlimited(), 3000, 101, 8, |m, range| {
+            let guard = delaying_guard(seed);
+            let res = morsel::run_morsels(&guard, 3000, 101, 8, |m, range| {
                 if m % 3 == 1 {
                     Err(GraqlError::exec(format!("boom at morsel {m}")))
                 } else {
                     Ok(range.len())
                 }
             });
-            failpoints::disarm("core/exec/morsel-dispatch");
             let err = res.unwrap_err().to_string();
             assert!(
                 err.contains("boom at morsel 1"),
                 "seed {seed}: expected morsel 1's error, got: {err}"
             );
+            fired += guard.faults().fired_count(SITE);
         }
+        assert!(fired >= 1, "no delay fired under any seed");
     }
 }

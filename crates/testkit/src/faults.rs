@@ -1,18 +1,10 @@
-//! The curated fault matrix and exclusive arming for fault-injection
-//! tests.
-//!
-//! The failpoint registry (`graql_types::failpoints`) is process-global,
-//! and `cargo test` runs tests concurrently in one process — so any test
-//! that arms a fault must hold [`FaultGuard`] for its duration. The guard
-//! serializes armed sections behind a global lock and disarms *all*
-//! sites on drop (including on panic), so no fault leaks into an
-//! unrelated test.
-
-use graql_types::failpoints;
-use parking_lot::{Mutex, MutexGuard};
+//! The curated fault matrix: every failpoint site with the spec a test
+//! arms it with. Faults are armed on the handle of the object under test
+//! (`graql_types::failpoints::Faults`), so tests that arm them run
+//! concurrently with everything else.
 
 /// One row of the fault matrix: a failpoint site and the spec to arm it
-/// with (`[PCT%][CNT*]ACTION[(ARG)]`, see `failpoints::parse_spec`).
+/// with (`[PCT%][CNT*]ACTION[(ARG)]`, see `graql_types::failpoints::parse_spec`).
 #[derive(Debug, Clone, Copy)]
 pub struct FaultCase {
     pub site: &'static str,
@@ -88,42 +80,10 @@ pub const FAULT_MATRIX: &[FaultCase] = &[
     case("net/repl/ack", "1*err"),
 ];
 
-static ARM_LOCK: Mutex<()> = Mutex::new(());
-
-/// Holds the arming lock; dropping disarms every site.
-pub struct FaultGuard {
-    _lock: MutexGuard<'static, ()>,
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        failpoints::disarm_all();
-    }
-}
-
-/// Takes the global arming lock *without* arming anything — for tests
-/// that must observe a fault-free registry while others may arm.
-pub fn exclusive() -> FaultGuard {
-    let lock = ARM_LOCK.lock();
-    failpoints::disarm_all();
-    FaultGuard { _lock: lock }
-}
-
-/// Arms the given `(site, spec)` pairs under `seed`, exclusively.
-///
-/// Panics on a malformed spec — the matrix is static test data.
-pub fn arm_exclusive(entries: &[(&str, &str)], seed: u64) -> FaultGuard {
-    let guard = exclusive();
-    for (site, spec) in entries {
-        failpoints::configure_seeded(site, spec, seed)
-            .unwrap_or_else(|e| panic!("bad fault spec {spec:?} for {site}: {e}"));
-    }
-    guard
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use graql_types::failpoints;
 
     #[test]
     fn matrix_covers_every_compiled_site_with_valid_specs() {
@@ -144,15 +104,5 @@ mod tests {
                 "no matrix entry under {prefix}"
             );
         }
-    }
-
-    #[test]
-    fn guard_disarms_on_drop() {
-        {
-            let _g = arm_exclusive(&[("net/frame/read-err", "1*err")], 9);
-            assert!(failpoints::armed());
-            assert_eq!(failpoints::armed_sites(), vec!["net/frame/read-err"]);
-        }
-        assert!(!failpoints::armed(), "guard drop disarms everything");
     }
 }

@@ -10,8 +10,8 @@
 //! evaluation paths, and any divergence is a real semantics bug, not a
 //! generator artifact.
 
-/// SplitMix64 — the same tiny deterministic generator the failpoint
-/// registry uses; good enough statistical quality for test-case choice
+/// SplitMix64 — the same tiny deterministic generator failpoints use
+/// for their firing rolls; good enough statistical quality for test-case choice
 /// and fully reproducible from a `u64` seed.
 #[derive(Debug, Clone)]
 pub struct TestRng {

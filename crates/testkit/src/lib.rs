@@ -14,9 +14,10 @@
 //! - [`oracle`] — the differential runner: renders session outputs in the
 //!   `gems-shell` wire format and writes divergence artifacts when two
 //!   evaluation paths disagree.
-//! - [`faults`] — the curated fault matrix over every `failpoint!` site,
-//!   plus an exclusive arming guard so fault-injection tests serialize
-//!   and never leak armed faults into other tests.
+//! - [`faults`] — the curated fault matrix over every `failpoint!` site.
+//!   Tests arm a matrix case on the fault handle of the object under test
+//!   (`Server::faults`, `RemoteSession::faults`), so no lock is needed:
+//!   a fault cannot reach an object it was not armed on.
 //!
 //! This crate hard-enables the `failpoints` feature on `graql-net` and
 //! `graql-core`; depending on it from dev-dependencies is what arms the
@@ -29,7 +30,7 @@ pub mod naive;
 pub mod oracle;
 pub mod refeval;
 
-pub use faults::{arm_exclusive, exclusive, FaultCase, FaultGuard, FAULT_MATRIX};
+pub use faults::{FaultCase, FAULT_MATRIX};
 pub use gen::{ScriptGen, TestRng};
 pub use oracle::{render_outcome, render_outputs, write_divergence};
 pub use refeval::reference_outputs;

@@ -1,16 +1,21 @@
 //! Deterministic fault injection for the GEMS stack.
 //!
 //! A *failpoint* is a named site in the code (`net/frame/write-corrupt`,
-//! `core/persist/save-io`, …) where a fault can be armed at runtime. The
-//! registry itself is always compiled — it is a handful of statics — but
-//! the call sites expanded by [`failpoint!`](crate::failpoint) are gated
-//! behind each crate's `failpoints` cargo feature, so release builds of
-//! the engine carry **zero** fault-injection code on their hot paths.
+//! `core/persist/save-io`, …) where a fault can be armed at runtime.
+//! Faults are armed on a [`Faults`] handle, and every object that owns
+//! fault sites owns one handle: a `graql_core::Server` (shared with its
+//! WAL, its query guards and the network server and replica tailer that
+//! wrap it) or a `graql_net::RemoteSession`. A site consults only its
+//! owner's handle, so a fault armed on one server can never fire in
+//! another — tests running side by side in one process are isolated by
+//! construction. The handle is always compiled, but the call sites
+//! expanded by [`failpoint!`](crate::failpoint) are gated behind each
+//! crate's `failpoints` cargo feature, so release builds of the engine
+//! carry **zero** fault-injection code on their hot paths.
 //!
-//! Site names follow `area/component/action` (see `TESTING.md`). Faults
-//! are armed either through the API ([`configure`]) or through the
-//! environment, which is how test harnesses reach into spawned
-//! `gems-serve` children:
+//! Site names follow `area/component/action` (see `TESTING.md`). A
+//! spawned `gems-serve` child is armed through the environment, which
+//! its `main` reads once with [`Faults::from_env`]:
 //!
 //! ```text
 //! GRAQL_FAILPOINTS="net/server/exec-delay=1*delay(200);net/frame/write-corrupt=25%corrupt"
@@ -20,22 +25,25 @@
 //! A spec is `[PCT%][CNT*]ACTION[(ARG)]`: an optional firing probability,
 //! an optional maximum number of firings, and the action itself. All
 //! randomness is drawn from a per-site SplitMix64 stream derived from the
-//! global seed and the site name, so a given `(seed, site, hit index)`
+//! arming seed and the site name, so a given `(seed, site, hit index)`
 //! triple always makes the same decision — chaos runs are replayable.
 //!
 //! ```
-//! use graql_types::failpoints;
+//! use graql_types::failpoints::Faults;
 //!
-//! failpoints::configure("net/frame/write-err", "2*err").unwrap();
-//! assert!(failpoints::hit("net/frame/write-err").is_some());
-//! assert!(failpoints::hit("net/frame/write-err").is_some());
-//! assert!(failpoints::hit("net/frame/write-err").is_none()); // count exhausted
-//! failpoints::disarm_all();
+//! let faults = Faults::default();
+//! faults.arm("net/frame/write-err", "2*err", 0).unwrap();
+//! assert!(faults.hit("net/frame/write-err").is_some());
+//! assert!(faults.hit("net/frame/write-err").is_some());
+//! assert!(faults.hit("net/frame/write-err").is_none()); // count exhausted
+//! assert_eq!(faults.fired_count("net/frame/write-err"), 2);
+//! // A fault reaches only the handle it was armed on (and its clones).
+//! assert!(Faults::default().hit("net/frame/write-err").is_none());
 //! ```
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// What an armed failpoint does when it fires. How each action is applied
@@ -125,6 +133,7 @@ pub fn parse_spec(spec: &str) -> Result<FaultSpec, String> {
     Ok(FaultSpec { action, pct, count })
 }
 
+#[derive(Debug)]
 struct PointState {
     spec: FaultSpec,
     /// How many times this site has fired so far.
@@ -133,58 +142,102 @@ struct PointState {
     rng: u64,
 }
 
-struct Registry {
+#[derive(Debug, Default)]
+struct Sites {
     points: Mutex<HashMap<String, PointState>>,
-    /// Fast path: a single relaxed load when nothing is armed.
+    /// Fast path: a single load when nothing is armed.
     armed: AtomicBool,
 }
 
-fn registry() -> &'static Registry {
-    static REGISTRY: OnceLock<Registry> = OnceLock::new();
-    REGISTRY.get_or_init(|| {
-        let reg = Registry {
-            points: Mutex::new(HashMap::new()),
-            armed: AtomicBool::new(false),
-        };
-        // Environment arming: lets harnesses inject faults into spawned
-        // child processes (gems-serve) without any API access.
+/// The fault state of one object under test: which sites are armed, with
+/// what spec, and how often each has fired. Cloning is an `Arc` clone and
+/// yields a handle to the *same* state, which is how a server shares its
+/// faults with its WAL and its per-query guards. [`Faults::default`] is
+/// unarmed.
+#[derive(Debug, Clone, Default)]
+pub struct Faults(Arc<Sites>);
+
+impl Faults {
+    /// Arms (or re-arms) `site` from a textual spec. The site's RNG
+    /// stream, derived from `seed` and the site name, and its fired
+    /// count reset, so arming is a deterministic starting point
+    /// regardless of what ran before.
+    pub fn arm(&self, site: &str, spec: &str, seed: u64) -> Result<(), String> {
+        let spec = parse_spec(spec)?;
+        self.0
+            .points
+            .lock()
+            .expect("fault state lock poisoned")
+            .insert(
+                site.to_string(),
+                PointState {
+                    spec,
+                    fired: 0,
+                    rng: site_seed(seed, site),
+                },
+            );
+        self.0.armed.store(true, Ordering::Release);
+        Ok(())
+    }
+
+    /// A handle armed from `GRAQL_FAILPOINTS` (`site=spec;…`) under the
+    /// seed in `GRAQL_FAILPOINT_SEED` (default 0). Malformed entries are
+    /// reported on stderr and skipped. Only process entry points call
+    /// this: it is how a test harness reaches into a child process.
+    pub fn from_env() -> Faults {
+        let faults = Faults::default();
         let seed = std::env::var("GRAQL_FAILPOINT_SEED")
             .ok()
             .and_then(|s| s.parse::<u64>().ok())
             .unwrap_or(0);
-        if let Ok(spec) = std::env::var("GRAQL_FAILPOINTS") {
-            let mut points = reg.points.lock().unwrap();
-            for entry in spec.split(';').filter(|e| !e.trim().is_empty()) {
-                let Some((name, spec)) = entry.split_once('=') else {
-                    eprintln!("graql: ignoring malformed GRAQL_FAILPOINTS entry {entry:?}");
-                    continue;
-                };
-                match parse_spec(spec) {
-                    Ok(spec) => {
-                        let name = name.trim().to_string();
-                        let rng = site_seed(seed, &name);
-                        points.insert(
-                            name,
-                            PointState {
-                                spec,
-                                fired: 0,
-                                rng,
-                            },
-                        );
-                    }
-                    Err(e) => eprintln!("graql: ignoring GRAQL_FAILPOINTS entry: {e}"),
-                }
-            }
-            if !points.is_empty() {
-                reg.armed.store(true, Ordering::Release);
+        let specs = std::env::var("GRAQL_FAILPOINTS").unwrap_or_default();
+        for entry in specs.split(';').filter(|e| !e.trim().is_empty()) {
+            let armed = match entry.split_once('=') {
+                Some((site, spec)) => faults.arm(site.trim(), spec, seed),
+                None => Err(format!("malformed entry {entry:?}")),
+            };
+            if let Err(e) = armed {
+                eprintln!("graql: ignoring GRAQL_FAILPOINTS entry: {e}");
             }
         }
-        reg
-    })
+        faults
+    }
+
+    /// Evaluates `site`: returns the action to apply if the site is
+    /// armed, its count is not exhausted, and the probability roll
+    /// passes. Call sites should use the [`failpoint!`](crate::failpoint)
+    /// macro rather than calling this directly.
+    #[inline]
+    pub fn hit(&self, site: &str) -> Option<Action> {
+        if !self.0.armed.load(Ordering::Acquire) {
+            return None;
+        }
+        self.hit_slow(site)
+    }
+
+    #[cold]
+    fn hit_slow(&self, site: &str) -> Option<Action> {
+        let mut points = self.0.points.lock().expect("fault state lock poisoned");
+        let state = points.get_mut(site)?;
+        if state.spec.count.is_some_and(|max| state.fired >= max) {
+            return None;
+        }
+        if state.spec.pct < 100 && splitmix64(&mut state.rng) % 100 >= u64::from(state.spec.pct) {
+            return None;
+        }
+        state.fired += 1;
+        Some(state.spec.action)
+    }
+
+    /// How many times `site` has fired since it was last armed.
+    pub fn fired_count(&self, site: &str) -> u64 {
+        let points = self.0.points.lock().expect("fault state lock poisoned");
+        points.get(site).map_or(0, |s| s.fired)
+    }
 }
 
-/// Derives the per-site RNG stream from the global seed and the site name
-/// (FNV-1a over the name, mixed with the seed).
+/// Derives the per-site RNG stream from the arming seed and the site
+/// name (FNV-1a over the name, mixed with the seed).
 fn site_seed(seed: u64, name: &str) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {
@@ -202,145 +255,41 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Arms (or re-arms) a failpoint from a textual spec. The site's RNG
-/// stream and hit counter reset, so arming is a deterministic starting
-/// point regardless of what ran before.
-pub fn configure(name: &str, spec: &str) -> Result<(), String> {
-    configure_seeded(name, spec, current_seed())
-}
-
-/// [`configure`] with an explicit seed for the site's probability stream.
-pub fn configure_seeded(name: &str, spec: &str, seed: u64) -> Result<(), String> {
-    let spec = parse_spec(spec)?;
-    let reg = registry();
-    let mut points = reg.points.lock().unwrap();
-    let rng = site_seed(seed, name);
-    points.insert(
-        name.to_string(),
-        PointState {
-            spec,
-            fired: 0,
-            rng,
-        },
-    );
-    reg.armed.store(true, Ordering::Release);
-    Ok(())
-}
-
-/// Sets the global seed used by subsequent [`configure`] calls.
-pub fn set_seed(seed: u64) {
-    SEED.store(seed, Ordering::Relaxed);
-}
-
-fn current_seed() -> u64 {
-    SEED.load(Ordering::Relaxed)
-}
-
-static SEED: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Disarms a single failpoint. No-op if it was not armed.
-pub fn disarm(name: &str) {
-    let reg = registry();
-    let mut points = reg.points.lock().unwrap();
-    points.remove(name);
-    if points.is_empty() {
-        reg.armed.store(false, Ordering::Release);
-    }
-}
-
-/// Disarms every failpoint. Tests that arm faults should always call this
-/// (or use a guard that does) before the next test runs.
-pub fn disarm_all() {
-    let reg = registry();
-    let mut points = reg.points.lock().unwrap();
-    points.clear();
-    reg.armed.store(false, Ordering::Release);
-}
-
-/// True if at least one failpoint is armed (a single relaxed atomic load —
-/// this is the disabled-path cost when the `failpoints` feature is on).
-#[inline]
-pub fn armed() -> bool {
-    registry().armed.load(Ordering::Acquire)
-}
-
-/// The names of all currently armed failpoints, sorted.
-pub fn armed_sites() -> Vec<String> {
-    let reg = registry();
-    let points = reg.points.lock().unwrap();
-    let mut names: Vec<String> = points.keys().cloned().collect();
-    names.sort();
-    names
-}
-
-/// Evaluates the failpoint `name`: returns the action to apply if the site
-/// is armed, its count is not exhausted, and the probability roll passes.
-/// Call sites should use the [`failpoint!`](crate::failpoint) macro rather
-/// than calling this directly.
-#[inline]
-pub fn hit(name: &str) -> Option<Action> {
-    if !armed() {
-        return None;
-    }
-    hit_slow(name)
-}
-
-#[cold]
-fn hit_slow(name: &str) -> Option<Action> {
-    let reg = registry();
-    let mut points = reg.points.lock().unwrap();
-    let state = points.get_mut(name)?;
-    if let Some(max) = state.spec.count {
-        if state.fired >= max {
-            return None;
-        }
-    }
-    if state.spec.pct < 100 {
-        let roll = splitmix64(&mut state.rng) % 100;
-        if roll >= u64::from(state.spec.pct) {
-            return None;
-        }
-    }
-    state.fired += 1;
-    Some(state.spec.action)
-}
-
-/// How many times the failpoint `name` has fired since it was last armed.
-pub fn fired_count(name: &str) -> u64 {
-    let reg = registry();
-    let points = reg.points.lock().unwrap();
-    points.get(name).map_or(0, |s| s.fired)
-}
-
-/// Expands a failpoint call site. The expansion is gated on the **calling
-/// crate's** `failpoints` cargo feature, so crates that opt in declare
-/// `failpoints = []` in their `[features]` and the sites vanish entirely
-/// (not even a branch) when the feature is off.
+/// Expands a failpoint call site that consults the handle `faults`. The
+/// expansion is gated on the **calling crate's** `failpoints` cargo
+/// feature, so crates that opt in declare `failpoints = []` in their
+/// `[features]` and the sites vanish entirely (not even a branch; the
+/// handle is only borrowed) when the feature is off.
 ///
 /// Two forms:
 ///
-/// - `failpoint!("site")` — honours `Delay` only (sleep, then continue).
-/// - `failpoint!("site", GraqlError::exec)` — additionally honours `Err`
-///   by early-returning `Err(ctor("failpoint 'site': injected error"))`
-///   from the enclosing function (which must return
-///   [`Result`](crate::Result)).
+/// - `failpoint!(faults, "site")` — honours `Delay` only (sleep, then
+///   continue).
+/// - `failpoint!(faults, "site", GraqlError::exec)` — additionally
+///   honours `Err` by early-returning
+///   `Err(ctor("failpoint 'site': injected error"))` from the enclosing
+///   function (which must return [`Result`](crate::Result)).
 ///
 /// Sites with richer semantics (`Corrupt`, `Truncate`, `Refuse`) match on
-/// [`failpoints::hit`](hit) directly under `#[cfg(feature = "failpoints")]`.
+/// [`Faults::hit`] directly under `#[cfg(feature = "failpoints")]`.
 #[macro_export]
 macro_rules! failpoint {
-    ($name:expr) => {
+    ($faults:expr, $name:expr) => {
         #[cfg(feature = "failpoints")]
         {
-            if let Some($crate::failpoints::Action::Delay(__d)) = $crate::failpoints::hit($name) {
+            if let Some($crate::failpoints::Action::Delay(__d)) = $faults.hit($name) {
                 ::std::thread::sleep(__d);
             }
         }
+        #[cfg(not(feature = "failpoints"))]
+        {
+            let _ = &$faults;
+        }
     };
-    ($name:expr, $ctor:expr) => {
+    ($faults:expr, $name:expr, $ctor:expr) => {
         #[cfg(feature = "failpoints")]
         {
-            match $crate::failpoints::hit($name) {
+            match $faults.hit($name) {
                 Some($crate::failpoints::Action::Delay(__d)) => ::std::thread::sleep(__d),
                 Some($crate::failpoints::Action::Err) => {
                     return ::std::result::Result::Err($ctor(::std::format!(
@@ -351,15 +300,16 @@ macro_rules! failpoint {
                 _ => {}
             }
         }
+        #[cfg(not(feature = "failpoints"))]
+        {
+            let _ = &$faults;
+        }
     };
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The registry is process-global; these tests serialize on their own
-    // site names so they can run concurrently with each other.
 
     #[test]
     fn spec_parsing() {
@@ -398,22 +348,22 @@ mod tests {
 
     #[test]
     fn count_limits_firings() {
-        configure("test/count/site", "2*err").unwrap();
-        assert_eq!(hit("test/count/site"), Some(Action::Err));
-        assert_eq!(hit("test/count/site"), Some(Action::Err));
-        assert_eq!(hit("test/count/site"), None);
-        assert_eq!(fired_count("test/count/site"), 2);
-        disarm("test/count/site");
-        assert_eq!(hit("test/count/site"), None);
+        let faults = Faults::default();
+        faults.arm("test/count/site", "2*err", 0).unwrap();
+        assert_eq!(faults.hit("test/count/site"), Some(Action::Err));
+        assert_eq!(faults.hit("test/count/site"), Some(Action::Err));
+        assert_eq!(faults.hit("test/count/site"), None);
+        assert_eq!(faults.fired_count("test/count/site"), 2);
     }
 
     #[test]
     fn probability_is_deterministic_by_seed() {
         let run = |seed: u64| -> Vec<bool> {
-            configure_seeded("test/prob/site", "50%err", seed).unwrap();
-            let fired = (0..64).map(|_| hit("test/prob/site").is_some()).collect();
-            disarm("test/prob/site");
-            fired
+            let faults = Faults::default();
+            faults.arm("test/prob/site", "50%err", seed).unwrap();
+            (0..64)
+                .map(|_| faults.hit("test/prob/site").is_some())
+                .collect()
         };
         let a = run(7);
         let b = run(7);
@@ -429,6 +379,21 @@ mod tests {
 
     #[test]
     fn unarmed_sites_do_not_fire() {
-        assert_eq!(hit("test/never/armed"), None);
+        let faults = Faults::default();
+        assert_eq!(faults.hit("test/never/armed"), None);
+        faults.arm("test/other/site", "err", 0).unwrap();
+        assert_eq!(faults.hit("test/never/armed"), None);
+    }
+
+    #[test]
+    fn clones_share_state_and_handles_do_not() {
+        let a = Faults::default();
+        let b = Faults::default();
+        let a2 = a.clone();
+        a.arm("test/share/site", "err", 0).unwrap();
+        assert_eq!(a2.hit("test/share/site"), Some(Action::Err));
+        assert_eq!(a.fired_count("test/share/site"), 1);
+        assert_eq!(b.hit("test/share/site"), None);
+        assert_eq!(b.fired_count("test/share/site"), 0);
     }
 }

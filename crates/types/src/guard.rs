@@ -17,6 +17,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use crate::error::{GraqlError, Result};
+use crate::failpoints::Faults;
 
 /// Loop iterations between cooperative checkpoints. Power of two so the
 /// [`Ticker`] test compiles to a mask.
@@ -62,11 +63,22 @@ pub struct QueryGuard {
     max_query_bytes: Option<u64>,
     rows: AtomicU64,
     bytes: AtomicU64,
+    /// The fault handle of the server running the query, consulted by
+    /// the execution sites the query reaches (`core/exec/batch`, the
+    /// morsel scheduler).
+    faults: Faults,
 }
 
 impl QueryGuard {
-    /// A guard enforcing `budget`, with the deadline anchored at `now`.
+    /// A guard enforcing `budget`, with the deadline anchored at `now`
+    /// and no faults armed.
     pub fn new(budget: QueryBudget) -> QueryGuard {
+        QueryGuard::with_faults(budget, Faults::default())
+    }
+
+    /// [`QueryGuard::new`] for a query whose execution sites consult
+    /// `faults` — the guard a server mints for its own requests.
+    pub fn with_faults(budget: QueryBudget, faults: Faults) -> QueryGuard {
         QueryGuard {
             cancelled: AtomicBool::new(false),
             deadline: budget.deadline.map(|d| Instant::now() + d),
@@ -74,7 +86,13 @@ impl QueryGuard {
             max_query_bytes: budget.max_query_bytes,
             rows: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
+            faults,
         }
+    }
+
+    /// The fault handle this query's execution sites consult.
+    pub fn faults(&self) -> &Faults {
+        &self.faults
     }
 
     /// The process-wide unlimited guard, for contexts with no governance

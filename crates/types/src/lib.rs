@@ -25,6 +25,7 @@
 //! assert!(!CmpOp::Eq.eval(&Value::Null, &Value::Null));
 //! ```
 
+pub mod codec;
 pub mod date;
 pub mod diag;
 pub mod error;

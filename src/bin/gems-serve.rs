@@ -52,6 +52,7 @@ use std::time::Duration;
 
 use graql::core::{load_dir, Database, DurabilityOptions, ReplRole, Role, Server};
 use graql::net::{serve, RetryPolicy, ServeOptions};
+use graql::types::failpoints::Faults;
 use graql::types::QueryBudget;
 
 /// SIGTERM/SIGINT as a flag instead of process death, so orchestration
@@ -268,6 +269,9 @@ fn main() -> ExitCode {
         }
     }
 
+    // The only place fault state comes from the environment: test
+    // harnesses arm a spawned server through GRAQL_FAILPOINTS.
+    let faults = Faults::from_env();
     let server = if let Some(dir) = &durable {
         if load.is_some() {
             eprintln!(
@@ -280,7 +284,7 @@ fn main() -> ExitCode {
         if let Some(n) = checkpoint_every {
             dopts.checkpoint_every = n;
         }
-        match Server::open_durable(std::path::Path::new(dir), dopts) {
+        match Server::open_durable_with_faults(std::path::Path::new(dir), dopts, faults) {
             Ok((server, report)) => {
                 eprintln!(
                     "gems-serve: durable at {dir} (snapshot loaded: {}, replayed {} records, \
@@ -296,7 +300,7 @@ fn main() -> ExitCode {
         }
     } else {
         let db = match &load {
-            Some(dir) => match load_dir(std::path::Path::new(dir)) {
+            Some(dir) => match load_dir(std::path::Path::new(dir), &faults) {
                 Ok(db) => db,
                 Err(e) => {
                     eprintln!("gems-serve: cannot load {dir}: {e}");
@@ -305,7 +309,7 @@ fn main() -> ExitCode {
             },
             None => Database::new(),
         };
-        Server::new(db)
+        Server::with_faults(db, faults)
     };
     if let Some(dir) = data_dir {
         server.database_mut().set_data_dir(dir);

@@ -51,6 +51,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use graql::prelude::*;
+use graql::types::failpoints::Faults;
 
 fn usage() -> ! {
     eprintln!(
@@ -667,7 +668,9 @@ fn main() -> ExitCode {
             }
             // `--save`: persist the database (catalog DDL + CSVs).
             if let Some(dir) = &save_dir {
-                if let Err(e) = graql::core::save_dir(&db, std::path::Path::new(dir)) {
+                if let Err(e) =
+                    graql::core::save_dir(&db, std::path::Path::new(dir), &Faults::default())
+                {
                     eprintln!("gems-shell: cannot save to {dir}: {e}");
                     return ExitCode::FAILURE;
                 }

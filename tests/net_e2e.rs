@@ -14,6 +14,7 @@ use graql::core::{Role, SessionOutput};
 use graql::net::frame::{read_frame, write_frame, FrameRead, MAX_FRAME};
 use graql::net::proto::{self, Msg, BATCH_ROWS, PROTO_VERSION};
 use graql::net::{ConnectOptions, GemsSession, RemoteSession};
+use graql::types::failpoints::Faults;
 use graql::{Database, GraqlError, StmtOutput, Value};
 
 /// A running `gems-serve` child. Dropping kills it; `stop` shuts it down
@@ -277,8 +278,9 @@ fn v5_hello_is_refused_with_the_version_mismatch_error() {
             user: "admin".to_string(),
         },
     );
-    write_frame(&mut &stream, &hello, MAX_FRAME).unwrap();
-    let FrameRead::Frame(reply) = read_frame(&mut &stream, MAX_FRAME).unwrap() else {
+    write_frame(&mut &stream, &hello, MAX_FRAME, &Faults::default()).unwrap();
+    let FrameRead::Frame(reply) = read_frame(&mut &stream, MAX_FRAME, &Faults::default()).unwrap()
+    else {
         panic!("expected an error frame, not silence");
     };
     let (
@@ -299,7 +301,7 @@ fn v5_hello_is_refused_with_the_version_mismatch_error() {
         "{err}"
     );
     assert!(matches!(
-        read_frame(&mut &stream, MAX_FRAME),
+        read_frame(&mut &stream, MAX_FRAME, &Faults::default()),
         Ok(FrameRead::Closed) | Err(_)
     ));
     serve.stop();
@@ -565,14 +567,19 @@ fn slow_request_does_not_stall_other_ids() {
     )
     .unwrap();
 
+    let slow_sent = std::time::Instant::now();
     let slow = s.submit("create table Slow(a integer)").unwrap();
+    // Both requests run on workers at once and the delay fires once, for
+    // whichever reaches the site first: give the slow one's worker a head
+    // start so the fast request never takes the delay itself.
+    std::thread::sleep(Duration::from_millis(100));
+    let fast_sent = std::time::Instant::now();
     let fast = s.submit("create table Fast(a integer)").unwrap();
 
-    let started = std::time::Instant::now();
     s.wait(fast).expect("the fast request must complete");
-    let fast_elapsed = started.elapsed();
+    let fast_elapsed = fast_sent.elapsed();
     s.wait(slow).expect("the delayed request still completes");
-    let slow_elapsed = started.elapsed();
+    let slow_elapsed = slow_sent.elapsed();
 
     assert!(
         fast_elapsed < Duration::from_millis(450),

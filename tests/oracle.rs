@@ -15,9 +15,7 @@
 
 use graql::core::{Database, Server};
 use graql::net::{serve, ConnectOptions, GemsSession, RemoteSession, ServeOptions};
-use graql_testkit::{
-    arm_exclusive, exclusive, oracle, reference_outputs, render_outcome, ScriptGen,
-};
+use graql_testkit::{oracle, reference_outputs, render_outcome, ScriptGen};
 
 fn scale() -> graql::bsbm::Scale {
     graql::bsbm::Scale::new(40)
@@ -104,7 +102,6 @@ fn run_oracle(rig: &mut Rig, seed: u64, n: u64, tag_prefix: &str) -> Vec<String>
 
 #[test]
 fn clean_run_is_byte_identical_across_all_paths() {
-    let _guard = exclusive(); // no faults may leak into this test
     let mut rig = Rig::new();
     let seed = env_u64("GRAQL_ORACLE_SEED", 1);
     let n = env_u64("GRAQL_ORACLE_SCRIPTS", 200);
@@ -132,7 +129,6 @@ fn clean_run_is_byte_identical_across_all_paths() {
 /// `GRAQL_ORACLE_SEED`.
 #[test]
 fn parallel_engines_are_byte_identical_to_serial() {
-    let _guard = exclusive();
     let base = graql::bsbm::build_database(scale()).unwrap();
     let seed = env_u64("GRAQL_ORACLE_SEED", 1);
     let n_rel = env_u64("GRAQL_ORACLE_SCRIPTS", 200);
@@ -213,12 +209,15 @@ fn parallel_fault_armed_run_is_byte_identical() {
         ("net/server/drop-before-reply", "1*err"),
     ];
     for (fault_idx, &(site, spec)) in faults.iter().enumerate() {
-        let guard = arm_exclusive(&[(site, spec)], 0xFB);
         let mut rig = Rig::new();
         rig.server.database_mut().config_mut().threads = 4;
+        rig.server.faults().arm(site, spec, 0xFB).unwrap();
         let divergences = run_oracle(&mut rig, 11, 15, &format!("parfault{fault_idx}_"));
         rig.net.shutdown();
-        drop(guard);
+        assert!(
+            rig.server.faults().fired_count(site) >= 1,
+            "{site} never fired"
+        );
         assert!(
             divergences.is_empty(),
             "divergence with fault {site}={spec} armed on a threads=4 engine: {divergences:?}"
@@ -237,12 +236,15 @@ fn fault_armed_run_is_byte_identical_across_all_paths() {
         ("net/frame/write-truncate", "1*truncate"),
     ];
     for (fault_idx, &(site, spec)) in faults.iter().enumerate() {
-        let guard = arm_exclusive(&[(site, spec)], 0xFA);
         // Fresh rig per fault so handshake/connection state starts clean.
         let mut rig = Rig::new();
+        rig.server.faults().arm(site, spec, 0xFA).unwrap();
         let divergences = run_oracle(&mut rig, 7, 15, &format!("fault{fault_idx}_"));
         rig.net.shutdown();
-        drop(guard);
+        assert!(
+            rig.server.faults().fired_count(site) >= 1,
+            "{site} never fired"
+        );
         assert!(
             divergences.is_empty(),
             "divergence with fault {site}={spec} armed: {divergences:?}"

@@ -5,6 +5,7 @@
 
 use graql::core::{load_dir, save_dir, Database, Server};
 use graql::prelude::*;
+use graql::types::failpoints::Faults;
 
 const FIG4_DDL: &str = "create table Producers(id integer, country varchar(4))
 create table Vendors(id integer, country varchar(4))
@@ -64,11 +65,11 @@ fn save_load_reproduces_fig5_graph_and_describe() {
         vec![("IT".into(), "CN".into()), ("US".into(), "CA".into())],
         "Fig. 5 ground truth before persisting"
     );
-    save_dir(&original, &dir).unwrap();
+    save_dir(&original, &dir, &Faults::default()).unwrap();
     let original_describe = Server::new(original).describe().unwrap();
 
     // Reload from disk: same graph, edge for edge.
-    let mut reloaded = load_dir(&dir).unwrap();
+    let mut reloaded = load_dir(&dir, &Faults::default()).unwrap();
     assert_eq!(export_pairs(&mut reloaded), original_pairs);
     let g = reloaded.graph().unwrap();
     assert_eq!(g.vset(g.vtype("ProducerCountry").unwrap()).len(), 3);
@@ -80,7 +81,7 @@ fn save_load_reproduces_fig5_graph_and_describe() {
     assert_eq!(original_describe, reloaded_describe);
 
     // And the query of Fig. 5 still answers identically.
-    let mut db = load_dir(&dir).unwrap();
+    let mut db = load_dir(&dir, &Faults::default()).unwrap();
     let outs = db
         .execute_script(
             "select PC.country as a, VC.country as b from graph \
@@ -110,7 +111,7 @@ fn saved_dir_serves_identically_over_the_wire() {
     let dir = std::env::temp_dir().join(format!("graql_fig5_serve_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let original = fig5_db();
-    save_dir(&original, &dir).unwrap();
+    save_dir(&original, &dir, &Faults::default()).unwrap();
     let local_describe = Server::new(original).describe().unwrap();
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_gems-serve"))

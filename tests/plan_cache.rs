@@ -11,7 +11,7 @@
 use graql::core::Server;
 use graql::net::{serve, ConnectOptions, GemsSession, RemoteSession, ServeOptions};
 use graql::StmtOutput;
-use graql_testkit::{arm_exclusive, exclusive, render_outcome, ScriptGen};
+use graql_testkit::{render_outcome, ScriptGen};
 
 fn scale() -> graql::bsbm::Scale {
     graql::bsbm::Scale::new(40)
@@ -40,7 +40,6 @@ fn counters(server: &Server) -> (u64, u64, u64) {
 /// byte-identically to its own cold run and to both cache-off runs.
 #[test]
 fn cache_on_vs_cache_off_byte_identical() {
-    let _guard = exclusive();
     let cached = Server::new(graql::bsbm::build_database(scale()).unwrap());
     let uncached = Server::new(graql::bsbm::build_database(scale()).unwrap());
     uncached.set_plan_cache_capacity(0);
@@ -88,7 +87,6 @@ fn cache_on_vs_cache_off_byte_identical() {
 /// against the old epoch must not serve stale answers afterwards.
 #[test]
 fn ddl_and_epoch_publish_invalidate() {
-    let _guard = exclusive();
     let dir = std::env::temp_dir().join(format!("graql_plancache_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     std::fs::write(dir.join("t1.csv"), "1,10\n2,20\n").unwrap();
@@ -143,7 +141,6 @@ fn ddl_and_epoch_publish_invalidate() {
 /// starts compiling under its own epoch discipline.
 #[test]
 fn promotion_flushes_the_cache() {
-    let _guard = exclusive();
     let server = Server::new(graql::bsbm::build_database(scale()).unwrap());
     let mut sess = server.connect("admin").unwrap();
     let q = "select id from table Producers where country = 'US'";
@@ -195,33 +192,34 @@ fn warm_cache_still_yields_typed_errors_under_faults() {
 
     // Execution fault: the cancellation failpoint fires inside the
     // engine after the plan-cache lookup path is entered.
-    {
-        let _faults = arm_exclusive(&[("core/exec/cancel", "1*err")], 0xCA);
-        let err = remote
-            .execute_script(q)
-            .expect_err("armed exec fault must surface");
-        let msg = err.to_string();
-        assert!(
-            msg.contains("fault injected") || msg.contains("cancel"),
-            "expected the typed exec fault, got: {msg}"
-        );
-    }
+    let faults = server.faults();
+    faults.arm("core/exec/cancel", "1*err", 0xCA).unwrap();
+    let err = remote
+        .execute_script(q)
+        .expect_err("armed exec fault must surface");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("fault injected") || msg.contains("cancel"),
+        "expected the typed exec fault, got: {msg}"
+    );
+    assert_eq!(faults.fired_count("core/exec/cancel"), 1);
 
     // Serve-path fault: the reply is dropped mid-flight; the client sees
     // a typed retryable transport error, not a hang or a phantom result.
-    {
-        let _faults = arm_exclusive(&[("net/server/drop-before-reply", "1*err")], 0xCB);
-        let err = remote
-            .execute_script(q)
-            .expect_err("dropped reply must surface");
-        assert!(
-            matches!(err, graql::GraqlError::Net(_)),
-            "expected a net error, got {err:?}"
-        );
-    }
+    faults
+        .arm("net/server/drop-before-reply", "1*err", 0xCB)
+        .unwrap();
+    let err = remote
+        .execute_script(q)
+        .expect_err("dropped reply must surface");
+    assert!(
+        matches!(err, graql::GraqlError::Net(_)),
+        "expected a net error, got {err:?}"
+    );
+    assert_eq!(faults.fired_count("net/server/drop-before-reply"), 1);
 
-    // Faults disarmed: the same cached text serves again. (The client
-    // reconnects transparently on the next request.)
+    // Both one-shot faults are spent: the same cached text serves again.
+    // (The client reconnects transparently on the next request.)
     let outs = remote.execute_script(q).unwrap();
     assert_eq!(outs.len(), 1);
     net.shutdown();

@@ -26,14 +26,14 @@
 //! Seeds come from `GRAQL_FAULT_SEEDS` (comma-separated, default "1,2");
 //! the oracle corpus size from `GRAQL_ORACLE_SCRIPTS` (default 200).
 //!
-//! Every test in this file runs a live replication rig (background
-//! tailer threads + a process-global failpoint registry), so the tests
-//! serialize on a file-local lock: a fault armed for one rig must never
-//! fire on another rig's tailer.
+//! Faults are armed on the server that owns the site: the primary for
+//! its WAL and its stream (`net/repl/stream`), the replica for what its
+//! tailer does (`net/repl/{apply,ack}`). A fault armed on one node never
+//! fires on the other or on another test's rig, so the tests run
+//! concurrently.
 
 use std::net::SocketAddr;
 use std::path::Path;
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use graql::core::{Database, DurabilityOptions, Server};
@@ -41,14 +41,8 @@ use graql::net::{
     serve, start_tailer, ConnectOptions, GemsSession, NetServer, RemoteSession, ReplicaTailer,
     RetryPolicy, ServeOptions,
 };
-use graql_testkit::{arm_exclusive, render_outcome, ScriptGen};
-
-/// Serializes the tests in this binary (see the module doc).
-static RIG_LOCK: Mutex<()> = Mutex::new(());
-
-fn rig_lock() -> std::sync::MutexGuard<'static, ()> {
-    RIG_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use graql::types::failpoints::Faults;
+use graql_testkit::{render_outcome, ScriptGen};
 
 fn seeds() -> Vec<u64> {
     let raw = std::env::var("GRAQL_FAULT_SEEDS").unwrap_or_else(|_| "1,2".to_string());
@@ -178,7 +172,8 @@ impl Rig {
     }
 
     /// Waits until the replica's durable watermark reaches the primary's
-    /// current one. Panics (with context) if replication stalls.
+    /// current one and the batch that got it there is visible. Panics
+    /// (with context) if replication stalls.
     fn drain(&self, ctx: &str) {
         let target = self.primary.wal_durable_lsn();
         let deadline = Instant::now() + Duration::from_secs(30);
@@ -190,6 +185,10 @@ impl Rig {
             );
             std::thread::sleep(Duration::from_millis(5));
         }
+        // A replica logs a batch durably before it publishes the batch's
+        // epoch, both under its write lock: taking that lock waits out
+        // the publish.
+        drop(self.replica.database_mut());
     }
 
     fn admin(&self, addr: SocketAddr) -> RemoteSession {
@@ -242,16 +241,18 @@ fn run_crash_case(dir: &Path, seed: u64, site: &str, spec: &str, crash_at: usize
     let mut mix = Mix(seed);
     for i in 0..STEPS {
         let (stmt, result) = gen_step(i, &mut mix, &data);
-        let outcome = if i == crash_at {
-            // Quiesce the stream first: the fault must fire on the
-            // *primary's* append/fsync, not on the replica durably
-            // applying an earlier batch through the same WAL code.
+        if i == crash_at {
+            // Let the replica catch up first: a crashed (poisoned)
+            // primary log serves no new subscription, so a tailer still
+            // reconnecting would never see the acknowledged prefix.
             rig.drain(&ctx);
-            let _g = arm_exclusive(&[(site, spec)], seed);
-            sess.execute_script(&stmt)
-        } else {
-            sess.execute_script(&stmt)
-        };
+            rig.primary.faults().arm(site, spec, seed).unwrap();
+        }
+        let outcome = sess.execute_script(&stmt);
+        if i == crash_at {
+            let fired = rig.primary.faults().fired_count(site);
+            assert_eq!(fired, 1, "{ctx}: the primary's fault fired");
+        }
         if outcome.is_ok() {
             // Acknowledged: the shadow applies the identical statement.
             shadow.execute_script(&stmt).unwrap();
@@ -321,7 +322,6 @@ fn run_crash_case(dir: &Path, seed: u64, site: &str, spec: &str, crash_at: usize
 
 #[test]
 fn crash_primary_then_promote_loses_no_acknowledged_writes() {
-    let _serial = rig_lock();
     let base = std::env::temp_dir().join(format!("graql_replcrash_{}", std::process::id()));
     for seed in seeds() {
         for (case, (site, spec)) in CRASHES.iter().enumerate() {
@@ -340,7 +340,6 @@ fn crash_primary_then_promote_loses_no_acknowledged_writes() {
 /// renders from a local primary session and a remote replica session.
 #[test]
 fn drained_replica_reads_byte_identical_to_primary() {
-    let _serial = rig_lock();
     let dir = std::env::temp_dir().join(format!("graql_replora_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -349,7 +348,7 @@ fn drained_replica_reads_byte_identical_to_primary() {
     // layer replays, then feed it to the primary statement by statement.
     let bsbm = graql::bsbm::build_database(graql::bsbm::Scale::new(40)).unwrap();
     let corpus = dir.join("bsbm");
-    graql::core::save_dir(&bsbm, &corpus).unwrap();
+    graql::core::save_dir(&bsbm, &corpus, &Faults::default()).unwrap();
     let script = std::fs::read_to_string(corpus.join("catalog.graql")).unwrap();
 
     let rig = Rig::new(&dir);
@@ -381,7 +380,6 @@ fn drained_replica_reads_byte_identical_to_primary() {
 /// record was applied twice (duplicate rows) or skipped (missing rows).
 #[test]
 fn repl_failpoints_reconnect_and_resume_exactly() {
-    let _serial = rig_lock();
     let sites = ["net/repl/stream", "net/repl/apply", "net/repl/ack"];
     let base = std::env::temp_dir().join(format!("graql_replfp_{}", std::process::id()));
     for seed in seeds() {
@@ -410,18 +408,21 @@ fn repl_failpoints_reconnect_and_resume_exactly() {
                 .reconnects
                 .load(std::sync::atomic::Ordering::Relaxed);
 
-            {
-                // Keep the guard across the whole armed window: the fault
-                // fires once (killing the stream mid-batch), and the
-                // reconnect + exact resume happen while it stays armed
-                // but exhausted.
-                let _g = arm_exclusive(&[(site, "1*err")], seed);
-                for i in 3..7 {
-                    let (stmt, _) = gen_step(i, &mut mix, &data);
-                    sess.execute_script(&stmt).unwrap();
-                }
-                rig.drain(&ctx);
+            // The primary ships the stream; the replica's tailer
+            // applies and acks it. The fault fires once (killing the
+            // stream mid-batch), and the reconnect + exact resume happen
+            // while it stays armed but exhausted.
+            let owner = match *site {
+                "net/repl/stream" => &rig.primary,
+                _ => &rig.replica,
+            };
+            owner.faults().arm(site, "1*err", seed).unwrap();
+            for i in 3..7 {
+                let (stmt, _) = gen_step(i, &mut mix, &data);
+                sess.execute_script(&stmt).unwrap();
             }
+            rig.drain(&ctx);
+            assert_eq!(owner.faults().fired_count(site), 1, "{ctx}: fault fired");
 
             let after = rig
                 .replica_net
@@ -457,7 +458,6 @@ fn repl_failpoints_reconnect_and_resume_exactly() {
 /// writes to the ex-replica.
 #[test]
 fn writes_redirect_and_reads_fail_over() {
-    let _serial = rig_lock();
     let dir = std::env::temp_dir().join(format!("graql_replfail_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();

@@ -20,7 +20,6 @@
 use std::path::Path;
 
 use graql::core::{Database, DurabilityOptions, Server};
-use graql_testkit::arm_exclusive;
 
 fn seeds() -> Vec<u64> {
     let raw = std::env::var("GRAQL_FAULT_SEEDS").unwrap_or_else(|_| "1,2".to_string());
@@ -92,19 +91,20 @@ fn gen_step(i: usize, mix: &mut Mix, data: &Path) -> (String, Option<String>) {
     }
 }
 
-/// The crash menu: failpoint site + spec + whether the fault poisons the
-/// WAL (a simulated crash leaving bad bytes on disk) or is transient
-/// (the commit is refused, rolled back, and the server keeps going).
-const CRASHES: &[(&str, &str, bool)] = &[
-    ("core/wal/append", "1*truncate", true),
-    ("core/wal/append", "1*corrupt", true),
-    ("core/wal/append", "1*err", false),
-    ("core/wal/fsync", "1*err", false),
+/// The crash menu: failpoint site + spec. `truncate`/`corrupt` poison
+/// the WAL (a simulated crash leaving bad bytes on disk); `err` is
+/// transient (the commit is refused, rolled back, and the server keeps
+/// going).
+const CRASHES: &[(&str, &str)] = &[
+    ("core/wal/append", "1*truncate"),
+    ("core/wal/append", "1*corrupt"),
+    ("core/wal/append", "1*err"),
+    ("core/wal/fsync", "1*err"),
 ];
 
 const STEPS: usize = 9;
 
-fn run_case(dir: &Path, seed: u64, site: &str, spec: &str, poisons: bool, crash_at: usize) {
+fn run_case(dir: &Path, seed: u64, site: &str, spec: &str, crash_at: usize) {
     let ctx = format!("seed {seed}, {site}={spec}, crash at {crash_at}");
     let _ = std::fs::remove_dir_all(dir);
     let data = dir.join("csv");
@@ -113,7 +113,6 @@ fn run_case(dir: &Path, seed: u64, site: &str, spec: &str, poisons: bool, crash_
     let mut result_names: Vec<String> = Vec::new();
     let mut shadow = Database::new();
     shadow.set_data_dir(&data);
-    let mut shadow_results: Vec<String> = Vec::new();
 
     let pre_crash_epoch;
     {
@@ -125,27 +124,21 @@ fn run_case(dir: &Path, seed: u64, site: &str, spec: &str, poisons: bool, crash_
         let mut mix = Mix(seed);
         for i in 0..STEPS {
             let (stmt, result) = gen_step(i, &mut mix, &data);
-            let outcome = if i == crash_at {
-                let _g = arm_exclusive(&[(site, spec)], seed);
-                sess.execute_script(&stmt)
-            } else {
-                sess.execute_script(&stmt)
-            };
-            match outcome {
-                Ok(_) => {
-                    // Acknowledged: the shadow applies the identical
-                    // statement (differential oracle).
-                    shadow.execute_script(&stmt).unwrap();
-                    if let Some(r) = result {
-                        shadow_results.push(r.clone());
-                        result_names.push(r);
-                    }
-                }
-                Err(_) => {
-                    // Refused: must leave no trace, in either world.
-                    if poisons {
-                        // Simulated crash: every later commit fails too.
-                    }
+            if i == crash_at {
+                server.faults().arm(site, spec, seed).unwrap();
+            }
+            let outcome = sess.execute_script(&stmt);
+            if i == crash_at {
+                assert_eq!(server.faults().fired_count(site), 1, "{ctx}: fault fired");
+            }
+            // Acknowledged: the shadow applies the identical statement
+            // (differential oracle). Refused: it must leave no trace, in
+            // either world (on a poisoning crash every later commit is
+            // refused too).
+            if outcome.is_ok() {
+                shadow.execute_script(&stmt).unwrap();
+                if let Some(r) = result {
+                    result_names.push(r);
                 }
             }
         }
@@ -204,11 +197,11 @@ fn run_case(dir: &Path, seed: u64, site: &str, spec: &str, poisons: bool, crash_
 fn crash_recovery_matches_committed_prefix() {
     let base = std::env::temp_dir().join(format!("graql_walprop_{}", std::process::id()));
     for seed in seeds() {
-        for (case, (site, spec, poisons)) in CRASHES.iter().enumerate() {
+        for (case, (site, spec)) in CRASHES.iter().enumerate() {
             // Crash at an early, middle and late statement.
             for crash_at in [1usize, STEPS / 2, STEPS - 1] {
                 let dir = base.join(format!("s{seed}_c{case}_k{crash_at}"));
-                run_case(&dir, seed, site, spec, *poisons, crash_at);
+                run_case(&dir, seed, site, spec, crash_at);
             }
         }
     }
@@ -239,10 +232,12 @@ fn failed_checkpoint_recovers_to_committed_prefix() {
                 sess.execute_script(&stmt).unwrap();
                 shadow.execute_script(&stmt).unwrap();
             }
-            {
-                let _g = arm_exclusive(&[("core/wal/checkpoint", "1*err")], seed);
-                server.checkpoint_now().unwrap_err();
-            }
+            server
+                .faults()
+                .arm("core/wal/checkpoint", "1*err", seed)
+                .unwrap();
+            server.checkpoint_now().unwrap_err();
+            assert_eq!(server.faults().fired_count("core/wal/checkpoint"), 1);
             // The server stays usable after the failed fold.
             let (stmt, _) = gen_step(5, &mut mix, &data);
             sess.execute_script(&stmt).unwrap();
