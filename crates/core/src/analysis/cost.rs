@@ -10,7 +10,7 @@
 //! hints*, not guarantees; the executor never consults them for
 //! correctness.
 
-use graql_parser::ast::{self, Dir, Expr, Lit, Operand, Quant, Segment, StepName};
+use graql_parser::ast::{self, Dir, Expr, Lit, Operand, Quant, Step, StepName};
 use graql_table::{PhysExpr, TableSchema};
 use graql_types::CmpOp;
 
@@ -276,19 +276,26 @@ pub fn estimate_paths(
 
     let mut ops = Vec::new();
     for path in paths {
-        let mut domain = vertex_domain(work, &labels, &path.head.name);
-        let mut flow = vertex_estimate(work, stats, &domain, path.head.cond.as_ref());
-        ops.push((
-            format!("vertex step {}", step_display(&path.head.name)),
-            flow,
-        ));
-        for seg in &path.segments {
-            match seg {
-                Segment::Hop { edge, vertex } => {
+        let mut domain: Vec<String> = Vec::new();
+        let mut flow = 0.0;
+        let mut at_head = true;
+        // The edge of the hop being walked; inside a group, the frontier
+        // domain and the expansion of one iteration so far.
+        let mut edge: Option<&ast::EdgeStep> = None;
+        let mut cur: Vec<String> = Vec::new();
+        let mut per_iter = 1.0;
+        path.for_each_step(&mut |step, group| match (step, group) {
+            (Step::Edge(e), None) => edge = Some(e),
+            (Step::Vertex(v), None) => {
+                let target = vertex_domain(work, &labels, &v.name);
+                if std::mem::take(&mut at_head) {
+                    flow = vertex_estimate(work, stats, &target, v.cond.as_ref());
+                    ops.push((format!("vertex step {}", step_display(&v.name)), flow));
+                    domain = target;
+                } else if let Some(edge) = edge.take() {
                     let expansion = hop_expansion(work, stats, &domain, edge);
-                    let target = vertex_domain(work, &labels, &vertex.name);
                     let target = narrowed_target(work, &domain, edge, &target);
-                    let tsel = vertex_cond_selectivity(work, stats, &target, vertex.cond.as_ref());
+                    let tsel = vertex_cond_selectivity(work, stats, &target, v.cond.as_ref());
                     flow = flow * expansion * tsel;
                     ops.push((
                         format!(
@@ -296,44 +303,44 @@ pub fn estimate_paths(
                             if edge.dir == Dir::In { "<--" } else { "--" },
                             step_display(&edge.name),
                             if edge.dir == Dir::In { "--" } else { "-->" },
-                            step_display(&vertex.name),
+                            step_display(&v.name),
                         ),
                         flow,
                     ));
                     domain = target;
+                } else {
+                    // A group's exit step.
+                    flow *= vertex_cond_selectivity(work, stats, &target, v.cond.as_ref());
+                    ops.push((format!("group exit {}", step_display(&v.name)), flow));
+                    domain = target;
                 }
-                Segment::Group {
-                    hops, quant, exit, ..
-                } => {
-                    let mut per_iter = 1.0;
-                    let mut cur = domain.clone();
-                    for (edge, vertex) in hops {
-                        per_iter *= hop_expansion(work, stats, &cur, edge);
-                        let target = vertex_domain(work, &labels, &vertex.name);
-                        cur = narrowed_target(work, &cur, edge, &target);
-                        per_iter *=
-                            vertex_cond_selectivity(work, stats, &cur, vertex.cond.as_ref());
-                    }
-                    let (lo, hi) = quant.bounds(crate::compile::REGEX_CAP);
+            }
+            (Step::Edge(e), Some(g)) => {
+                if g.hop == 0 {
+                    per_iter = 1.0;
+                    cur = domain.clone();
+                }
+                per_iter *= hop_expansion(work, stats, &cur, e);
+                edge = Some(e);
+            }
+            (Step::Vertex(v), Some(g)) => {
+                let target = vertex_domain(work, &labels, &v.name);
+                cur = narrowed_target(work, &cur, edge.take().expect("hop edge"), &target);
+                per_iter *= vertex_cond_selectivity(work, stats, &cur, v.cond.as_ref());
+                if g.hop + 1 == g.hops.len() {
+                    let (lo, hi) = g.quant.bounds(crate::compile::REGEX_CAP);
                     let depth = hi.min(GROUP_DEPTH_CAP.max(lo));
                     flow *= per_iter.max(1.0).powi(depth as i32);
-                    let quant_str = match quant {
+                    let quant_str = match g.quant {
                         Quant::Star => "*".to_string(),
                         Quant::Plus => "+".to_string(),
                         Quant::Range(a, b) => format!("{{{a},{b}}}"),
                     };
                     ops.push((format!("group {quant_str}"), flow));
-                    domain = cur;
-                    if let Some(v) = exit {
-                        let target = vertex_domain(work, &labels, &v.name);
-                        let tsel = vertex_cond_selectivity(work, stats, &target, v.cond.as_ref());
-                        flow *= tsel;
-                        ops.push((format!("group exit {}", step_display(&v.name)), flow));
-                        domain = target;
-                    }
+                    domain = std::mem::take(&mut cur);
                 }
             }
-        }
+        });
     }
     ops
 }

@@ -1,14 +1,12 @@
-//! IR-level static analysis over compiled query structure (§III-A, Fig. 8).
+//! AST-level analyses over checked select statements (§III-A, Fig. 8),
+//! shared by the checker in [`crate::analyze`] and the execution paths:
 //!
-//! This module layers three passes above the pure catalog checks in
-//! [`crate::analyze`]:
-//!
-//! * [`dataflow`] — typed dataflow over per-binding domains: vertex-type
-//!   narrowing along edge definitions, interval analysis over step and
-//!   `where` predicates (value ranges + nullability), and satisfiability
-//!   verdicts. Emits the IR-level diagnostics `W0206` (dead pattern
-//!   branch), `W0207` (contradictory range), `W0208` (tautological
-//!   predicate) and `H0203` (statistics-estimated large intermediate).
+//! * [`dataflow`] — the predicate analyzer: simplifier verdicts and
+//!   interval analysis (value ranges + nullability) over step and `where`
+//!   predicates decide `W0203` (always-false comparison), `W0207`
+//!   (contradictory range) and `W0208` (tautological predicate) together,
+//!   plus `W0206` (dead pattern branch) and `H0203`
+//!   (statistics-estimated large intermediate).
 //! * [`rewrite`] — semantics-preserving plan rewrites: constant folding,
 //!   predicate simplification, dead `or`-branch elimination, unused-label
 //!   elimination and `and`/`or` composition flattening. Every rewrite is
@@ -21,10 +19,9 @@
 //!   [`crate::catalog::CatalogStats`] store (per-type cardinalities,
 //!   degree means, per-column NDV).
 //!
-//! The passes run at two points: `check` runs dataflow for diagnostics
+//! The analyses run at two points: `check` runs dataflow for diagnostics
 //! (never building the graph), and the execution/`explain` paths run the
-//! rewriter (gated by [`crate::plan::ExecConfig::rewrite`]) followed by
-//! cost annotation.
+//! rewriter followed by cost annotation.
 
 pub mod cost;
 pub mod dataflow;

@@ -11,16 +11,18 @@
 //! statement can reference entities (including `into` results) created by
 //! earlier statements — the front-end server's evolving metadata.
 //!
-//! Two reporting modes share one code path:
+//! This is the one static-analysis pass over the parsed `ast` (§III-A):
+//! one walk over the statements, one comparison type checker
+//! ([`crate::cond::typecheck`]). Two reporting modes share it:
 //!
 //! * [`analyze_script`] is **fail-fast**: it stops at the first error and
-//!   returns it as a classified [`GraqlError`] (the legacy contract that
-//!   execution paths rely on).
+//!   returns it as a classified [`GraqlError`] (the contract execution
+//!   paths rely on). It runs the error checks only.
 //! * [`check_script`] **collects**: it records every problem as a located
 //!   [`Diagnostic`] in a [`Diagnostics`] sink, recovering where it can
 //!   (e.g. an unknown attribute in a `where` clause does not stop the
-//!   rest of the clause from being checked), and then runs the lint
-//!   passes in [`crate::lint`].
+//!   rest of the clause from being checked), and runs the warning and
+//!   hint rules of [`crate::lint`] on each statement in the same walk.
 
 use graql_parser::ast::{self, SelectExpr, SelectTargets, StepName, Stmt};
 use graql_table::{ColumnDef, TableSchema};
@@ -28,7 +30,7 @@ use graql_types::{codes, DataType, Diagnostic, Diagnostics, GraqlError, Result, 
 use rustc_hash::FxHashMap;
 
 use crate::catalog::{Catalog, EdgeDef, VertexDef};
-use crate::cond::lit_type;
+use crate::cond::{single_table, typecheck};
 use crate::lint;
 
 /// Result of the span-aware checks: the error side is a located
@@ -107,12 +109,6 @@ pub fn analyze_script(catalog: &Catalog, script: &ast::Script) -> Result<Catalog
     Ok(work)
 }
 
-/// Statically checks one statement (fail-fast), updating the working
-/// catalog.
-pub fn analyze_statement(work: &mut Catalog, stmt: &Stmt) -> Result<()> {
-    check_statement(work, stmt, &mut Ctx::fail_fast()).map_err(Diagnostic::into_error)
-}
-
 /// Statically checks a whole script, collecting *every* diagnostic —
 /// errors, lint warnings and hints — instead of stopping at the first
 /// error. Statements that fail still leave later statements checked
@@ -135,15 +131,17 @@ pub fn check_script_with_stats(
     governed: Option<bool>,
 ) -> (Catalog, Diagnostics) {
     let mut sink = Diagnostics::new();
+    let mut rules = lint::Rules::new(stats, governed);
     let mut work = catalog.clone();
     for stmt in &script.statements {
         let res = check_statement(&mut work, stmt, &mut Ctx::collecting(&mut sink));
         if let Err(d) = res {
             sink.push(d);
         }
+        rules.check(&work, stmt);
     }
-    lint::run(&work, script, stats, governed, &mut sink);
-    crate::analysis::dataflow::run(&work, script, stats, &mut sink);
+    // Errors come first in statement order, then each rule's findings.
+    rules.finish(&mut sink);
     (work, sink)
 }
 
@@ -191,12 +189,8 @@ fn check_statement(work: &mut Catalog, stmt: &Stmt, ctx: &mut Ctx) -> DResult<()
                 }
             }
             if let Some(w) = &cv.where_clause {
-                crate::cond::typecheck_single_table_ctx(
-                    w,
-                    &schema,
-                    &[&cv.from_table, &cv.name],
-                    ctx,
-                )?;
+                let quals = [cv.from_table.as_str(), cv.name.as_str()];
+                typecheck(w, ctx, &mut single_table(&schema, &quals))?;
             }
             work.add_vertex(VertexDef {
                 name: cv.name.clone(),
@@ -314,102 +308,43 @@ fn typecheck_edge_where(
             env.insert(t.clone(), s.clone());
         }
     }
-
-    // Walk comparisons, resolving operand types.
-    fn operand_type(
-        work: &Catalog,
-        env: &mut FxHashMap<String, TableSchema>,
-        o: &ast::Operand,
-        span: Span,
-    ) -> DResult<Option<DataType>> {
-        match o {
-            ast::Operand::Lit(l) => Ok(lit_type(l)),
-            ast::Operand::Attr {
-                qualifier: Some(q),
-                name,
-            } => {
-                if !env.contains_key(q) {
-                    // Implicit associated table (the Fig. 3 `feature` case).
-                    let schema = work
-                        .table(q)
-                        .ok_or_else(|| {
-                            Diagnostic::error(
-                                codes::BAD_QUALIFIER,
-                                format!("unknown qualifier '{q}'"),
-                                span,
-                            )
-                        })?
-                        .clone();
-                    env.insert(q.clone(), schema);
-                }
-                let schema = &env[q];
-                let ci = schema.require(name).map_err(|e| attr_err(&e, span))?;
-                Ok(Some(schema.column(ci).dtype))
+    typecheck(w, ctx, &mut |q, name, span| match q {
+        Some(q) => {
+            if !env.contains_key(q) {
+                // Implicit associated table (the Fig. 3 `feature` case).
+                let schema = work.table(q).ok_or_else(|| {
+                    Diagnostic::error(
+                        codes::BAD_QUALIFIER,
+                        format!("unknown qualifier '{q}'"),
+                        span,
+                    )
+                })?;
+                env.insert(q.clone(), schema.clone());
             }
-            ast::Operand::Attr {
-                qualifier: None,
-                name,
-            } => {
-                let hits: Vec<DataType> = env
-                    .values()
-                    .filter_map(|s| s.index_of(name).map(|c| s.column(c).dtype))
-                    .collect();
-                match hits.len() {
-                    1 => Ok(Some(hits[0])),
-                    0 => Err(Diagnostic::error(
-                        codes::UNKNOWN_ATTR,
-                        format!("unknown attribute '{name}'"),
-                        span,
-                    )),
-                    _ => Err(Diagnostic::error(
-                        codes::AMBIGUOUS,
-                        format!("ambiguous attribute '{name}'; qualify it"),
-                        span,
-                    )),
-                }
+            let schema = &env[q];
+            let ci = schema.require(name).map_err(|e| attr_err(&e, span))?;
+            Ok(Some(schema.column(ci).dtype))
+        }
+        None => {
+            let hits: Vec<DataType> = env
+                .values()
+                .filter_map(|s| s.index_of(name).map(|c| s.column(c).dtype))
+                .collect();
+            match hits[..] {
+                [t] => Ok(Some(t)),
+                [] => Err(Diagnostic::error(
+                    codes::UNKNOWN_ATTR,
+                    format!("unknown attribute '{name}'"),
+                    span,
+                )),
+                _ => Err(Diagnostic::error(
+                    codes::AMBIGUOUS,
+                    format!("ambiguous attribute '{name}'; qualify it"),
+                    span,
+                )),
             }
         }
-    }
-    fn walk(
-        work: &Catalog,
-        env: &mut FxHashMap<String, TableSchema>,
-        e: &ast::Expr,
-        ctx: &mut Ctx,
-    ) -> DResult<()> {
-        match e {
-            ast::Expr::And(ps) | ast::Expr::Or(ps) => {
-                ps.iter().try_for_each(|p| walk(work, env, p, ctx))
-            }
-            ast::Expr::Not(inner) => walk(work, env, inner, ctx),
-            ast::Expr::Cmp { lhs, rhs, span, .. } => {
-                let a = match operand_type(work, env, lhs, *span) {
-                    Ok(t) => t,
-                    Err(d) => {
-                        ctx.emit(d)?;
-                        None
-                    }
-                };
-                let b = match operand_type(work, env, rhs, *span) {
-                    Ok(t) => t,
-                    Err(d) => {
-                        ctx.emit(d)?;
-                        None
-                    }
-                };
-                if let (Some(a), Some(b)) = (a, b) {
-                    if !a.comparable_with(b) {
-                        ctx.emit(Diagnostic::error(
-                            codes::INCOMPARABLE,
-                            format!("cannot compare {a} with {b}"),
-                            *span,
-                        ))?;
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-    walk(work, &mut env, w, ctx)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -440,7 +375,7 @@ fn check_table_select(
         return register_into(work, sel, None);
     }
     if let Some(w) = &sel.where_clause {
-        crate::cond::typecheck_single_table_ctx(w, &schema, &[table], ctx)?;
+        typecheck(w, ctx, &mut single_table(&schema, &[table]))?;
     }
     let col = |c: &ast::ColRef| -> DResult<usize> {
         if let Some(q) = &c.qualifier {
@@ -505,16 +440,8 @@ fn check_table_select(
                     SelectExpr::Agg(a) => {
                         let needs_numeric =
                             matches!(a, ast::AggCall::Sum(_) | ast::AggCall::Avg(_));
-                        let arg = match a {
-                            ast::AggCall::CountStar => None,
-                            ast::AggCall::Count(c)
-                            | ast::AggCall::Sum(c)
-                            | ast::AggCall::Avg(c)
-                            | ast::AggCall::Min(c)
-                            | ast::AggCall::Max(c) => Some(c),
-                        };
                         let mut arg_dtype = None;
-                        if let Some(c) = arg {
+                        if let Some(c) = a.arg() {
                             match col(c) {
                                 Ok(ci) => {
                                     let dt = schema.column(ci).dtype;
@@ -1064,20 +991,9 @@ fn typecheck_step_cond(
     labels: &FxHashMap<String, (ast::LabelKind, Option<String>)>,
     ctx: &mut Ctx,
 ) -> DResult<()> {
-    fn operand_type(
-        work: &Catalog,
-        schema: &TableSchema,
-        display: &str,
-        labels: &FxHashMap<String, (ast::LabelKind, Option<String>)>,
-        o: &ast::Operand,
-        span: Span,
-    ) -> DResult<Option<DataType>> {
-        match o {
-            ast::Operand::Lit(l) => Ok(lit_type(l)),
-            ast::Operand::Attr {
-                qualifier: None,
-                name,
-            } => {
+    typecheck(cond, ctx, &mut |q, name, span| {
+        let schema = match q {
+            None => {
                 let ci = schema.require(name).map_err(|_| {
                     Diagnostic::error(
                         codes::UNKNOWN_ATTR,
@@ -1085,79 +1001,28 @@ fn typecheck_step_cond(
                         span,
                     )
                 })?;
-                Ok(Some(schema.column(ci).dtype))
+                return Ok(Some(schema.column(ci).dtype));
             }
-            ast::Operand::Attr {
-                qualifier: Some(q),
-                name,
-            } => {
-                if q == display {
-                    let ci = schema.require(name).map_err(|e| attr_err(&e, span))?;
-                    return Ok(Some(schema.column(ci).dtype));
-                }
-                let Some((_, vt)) = labels.get(q) else {
+            Some(q) if q == display => schema,
+            Some(q) => match labels.get(q) {
+                None => {
                     return Err(Diagnostic::error(
                         codes::BAD_QUALIFIER,
                         format!("unknown label '{q}' in step condition"),
                         span,
-                    ));
-                };
-                match vt {
-                    None => Ok(None), // variant label: checked at runtime
-                    Some(vt) => {
-                        let def = work.require_vertex(vt).map_err(|e| entity_err(&e, span))?;
-                        let s = work
-                            .table(&def.table)
-                            .expect("vertex defs reference tables");
-                        let ci = s.require(name).map_err(|e| attr_err(&e, span))?;
-                        Ok(Some(s.column(ci).dtype))
-                    }
+                    ))
                 }
-            }
-        }
-    }
-    fn walk(
-        work: &Catalog,
-        schema: &TableSchema,
-        display: &str,
-        labels: &FxHashMap<String, (ast::LabelKind, Option<String>)>,
-        e: &ast::Expr,
-        ctx: &mut Ctx,
-    ) -> DResult<()> {
-        match e {
-            ast::Expr::And(ps) | ast::Expr::Or(ps) => ps
-                .iter()
-                .try_for_each(|p| walk(work, schema, display, labels, p, ctx)),
-            ast::Expr::Not(inner) => walk(work, schema, display, labels, inner, ctx),
-            ast::Expr::Cmp { lhs, rhs, span, .. } => {
-                let a = match operand_type(work, schema, display, labels, lhs, *span) {
-                    Ok(t) => t,
-                    Err(d) => {
-                        ctx.emit(d)?;
-                        None
-                    }
-                };
-                let b = match operand_type(work, schema, display, labels, rhs, *span) {
-                    Ok(t) => t,
-                    Err(d) => {
-                        ctx.emit(d)?;
-                        None
-                    }
-                };
-                if let (Some(a), Some(b)) = (a, b) {
-                    if !a.comparable_with(b) {
-                        ctx.emit(Diagnostic::error(
-                            codes::INCOMPARABLE,
-                            format!("cannot compare {a} with {b}"),
-                            *span,
-                        ))?;
-                    }
+                Some((_, None)) => return Ok(None), // variant label: checked at runtime
+                Some((_, Some(vt))) => {
+                    let def = work.require_vertex(vt).map_err(|e| entity_err(&e, span))?;
+                    work.table(&def.table)
+                        .expect("vertex defs reference tables")
                 }
-                Ok(())
-            }
-        }
-    }
-    walk(work, schema, display, labels, cond, ctx)
+            },
+        };
+        let ci = schema.require(name).map_err(|e| attr_err(&e, span))?;
+        Ok(Some(schema.column(ci).dtype))
+    })
 }
 
 fn register_into(

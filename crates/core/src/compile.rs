@@ -605,7 +605,7 @@ fn check_many_to_one_cols(
         return Ok(());
     }
     let mut err = None;
-    for_each_attr(expr, &mut |_, name| {
+    expr.for_each_attr(&mut |_, name| {
         if err.is_none() {
             if let Some(c) = table.schema().index_of(name) {
                 if !vset.key_cols.contains(&c) {
@@ -664,7 +664,7 @@ fn compile_binding_cond(
 
 fn references_label(expr: &ast::Expr, labels: &FxHashMap<String, LabelInfo>) -> bool {
     let mut found = false;
-    for_each_attr(expr, &mut |q, _| {
+    expr.for_each_attr(&mut |q, _| {
         if let Some(q) = q {
             if labels.contains_key(q) {
                 found = true;
@@ -678,22 +678,6 @@ fn flatten_and<'e>(e: &'e ast::Expr, out: &mut Vec<&'e ast::Expr>) {
     match e {
         ast::Expr::And(parts) => parts.iter().for_each(|p| flatten_and(p, out)),
         other => out.push(other),
-    }
-}
-
-fn for_each_attr(e: &ast::Expr, f: &mut dyn FnMut(&Option<String>, &str)) {
-    match e {
-        ast::Expr::And(parts) | ast::Expr::Or(parts) => {
-            parts.iter().for_each(|p| for_each_attr(p, f))
-        }
-        ast::Expr::Not(inner) => for_each_attr(inner, f),
-        ast::Expr::Cmp { lhs, rhs, .. } => {
-            for o in [lhs, rhs] {
-                if let ast::Operand::Attr { qualifier, name } = o {
-                    f(qualifier, name);
-                }
-            }
-        }
     }
 }
 

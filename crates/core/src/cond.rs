@@ -3,8 +3,10 @@
 
 use graql_parser::ast::{Expr, Lit, Operand};
 use graql_table::{PhysExpr, TableSchema};
-use graql_types::{GraqlError, Result, Value};
+use graql_types::{codes, DataType, Diagnostic, GraqlError, Result, Span, Value};
 use rustc_hash::FxHashMap;
+
+use crate::analyze::{attr_err, Ctx, DResult};
 
 /// Bound `%param%` values for one execution.
 pub type Params = FxHashMap<String, Value>;
@@ -25,12 +27,12 @@ pub fn lit_value(lit: &Lit, params: &Params) -> Result<Value> {
 
 /// Static type of a literal, if known without execution (`%params%` are
 /// typed only at bind time).
-pub fn lit_type(lit: &Lit) -> Option<graql_types::DataType> {
+pub fn lit_type(lit: &Lit) -> Option<DataType> {
     match lit {
-        Lit::Int(_) => Some(graql_types::DataType::Integer),
-        Lit::Float(_) => Some(graql_types::DataType::Float),
-        Lit::Str(_) => Some(graql_types::DataType::Varchar(0)),
-        Lit::Date(_) => Some(graql_types::DataType::Date),
+        Lit::Int(_) => Some(DataType::Integer),
+        Lit::Float(_) => Some(DataType::Float),
+        Lit::Str(_) => Some(DataType::Varchar(0)),
+        Lit::Date(_) => Some(DataType::Date),
         Lit::Param(_) => None,
     }
 }
@@ -112,84 +114,73 @@ fn check_comparable(l: &PhysExpr, r: &PhysExpr, schema: &TableSchema) -> Result<
     Ok(())
 }
 
-/// Statically type-checks a single-relation condition without compiling
-/// constants (parameters stay unknown) — the §III-A front-end check.
-/// Fail-fast wrapper over `typecheck_single_table_ctx`.
-pub fn typecheck_single_table(
+/// The §III-A static comparison check, the one every condition position
+/// shares (table `where`, vertex and edge `where`, step conditions).
+/// `resolve` types an attribute operand `(qualifier, name)` of the
+/// comparison at `span` (`Ok(None)`: known only at run time); literals
+/// type themselves and `%params%` stay unknown. Each comparison is checked
+/// on its own, so a collecting context reports every bad operand and every
+/// incomparable pair, located at the comparison.
+pub(crate) fn typecheck(
     expr: &Expr,
-    schema: &TableSchema,
-    qualifiers: &[&str],
-) -> Result<()> {
-    typecheck_single_table_ctx(
-        expr,
-        schema,
-        qualifiers,
-        &mut crate::analyze::Ctx::fail_fast(),
-    )
-    .map_err(graql_types::Diagnostic::into_error)
+    ctx: &mut Ctx,
+    resolve: &mut impl FnMut(&Option<String>, &str, Span) -> DResult<Option<DataType>>,
+) -> DResult<()> {
+    let mut out = Ok(());
+    expr.for_each_cmp(&mut |_, lhs, rhs, span| {
+        if out.is_ok() {
+            out = typecheck_cmp(lhs, rhs, span, ctx, resolve);
+        }
+    });
+    out
 }
 
-/// Span-aware variant of [`typecheck_single_table`]: each comparison is
-/// checked independently, so a collecting context reports every bad
-/// comparison in the clause, located at the comparison's own span.
-pub(crate) fn typecheck_single_table_ctx(
-    expr: &Expr,
-    schema: &TableSchema,
-    qualifiers: &[&str],
-    ctx: &mut crate::analyze::Ctx,
-) -> crate::analyze::DResult<()> {
-    use graql_types::{codes, Diagnostic};
-    match expr {
-        Expr::And(parts) | Expr::Or(parts) => parts
-            .iter()
-            .try_for_each(|p| typecheck_single_table_ctx(p, schema, qualifiers, ctx)),
-        Expr::Not(inner) => typecheck_single_table_ctx(inner, schema, qualifiers, ctx),
-        Expr::Cmp { lhs, rhs, span, .. } => {
-            let ty_of = |o: &Operand| -> crate::analyze::DResult<Option<graql_types::DataType>> {
-                match o {
-                    Operand::Attr { qualifier, name } => {
-                        if let Some(q) = qualifier {
-                            if !qualifiers.iter().any(|&a| a == q) {
-                                return Err(Diagnostic::error(
-                                    codes::BAD_QUALIFIER,
-                                    format!("unknown qualifier '{q}'"),
-                                    *span,
-                                ));
-                            }
-                        }
-                        let ci = schema
-                            .require(name)
-                            .map_err(|e| crate::analyze::attr_err(&e, *span))?;
-                        Ok(Some(schema.column(ci).dtype))
-                    }
-                    Operand::Lit(l) => Ok(lit_type(l)),
-                }
-            };
-            let a = match ty_of(lhs) {
-                Ok(t) => t,
-                Err(d) => {
-                    ctx.emit(d)?;
-                    None
-                }
-            };
-            let b = match ty_of(rhs) {
-                Ok(t) => t,
-                Err(d) => {
-                    ctx.emit(d)?;
-                    None
-                }
-            };
-            if let (Some(a), Some(b)) = (a, b) {
-                if !a.comparable_with(b) {
-                    ctx.emit(Diagnostic::error(
-                        codes::INCOMPARABLE,
-                        format!("cannot compare {a} with {b}"),
-                        *span,
-                    ))?;
-                }
-            }
-            Ok(())
+fn typecheck_cmp(
+    lhs: &Operand,
+    rhs: &Operand,
+    span: Span,
+    ctx: &mut Ctx,
+    resolve: &mut impl FnMut(&Option<String>, &str, Span) -> DResult<Option<DataType>>,
+) -> DResult<()> {
+    let mut ty = |o: &Operand| -> DResult<Option<DataType>> {
+        let t = match o {
+            Operand::Lit(l) => Ok(lit_type(l)),
+            Operand::Attr { qualifier, name } => resolve(qualifier, name, span),
+        };
+        t.or_else(|d| ctx.emit(d).map(|()| None))
+    };
+    let (a, b) = (ty(lhs)?, ty(rhs)?);
+    if let (Some(a), Some(b)) = (a, b) {
+        if !a.comparable_with(b) {
+            ctx.emit(Diagnostic::error(
+                codes::INCOMPARABLE,
+                format!("cannot compare {a} with {b}"),
+                span,
+            ))?;
         }
+    }
+    Ok(())
+}
+
+/// The [`typecheck`] resolver of a condition over one relation:
+/// `qualifiers` may prefix an attribute, and every attribute resolves
+/// against `schema`.
+pub(crate) fn single_table<'a>(
+    schema: &'a TableSchema,
+    qualifiers: &'a [&'a str],
+) -> impl FnMut(&Option<String>, &str, Span) -> DResult<Option<DataType>> + 'a {
+    move |q, name, span| {
+        if let Some(q) = q {
+            if !qualifiers.contains(&q.as_str()) {
+                return Err(Diagnostic::error(
+                    codes::BAD_QUALIFIER,
+                    format!("unknown qualifier '{q}'"),
+                    span,
+                ));
+            }
+        }
+        let ci = schema.require(name).map_err(|e| attr_err(&e, span))?;
+        Ok(Some(schema.column(ci).dtype))
     }
 }
 
@@ -197,7 +188,7 @@ pub(crate) fn typecheck_single_table_ctx(
 mod tests {
     use super::*;
     use graql_parser::parse_expr;
-    use graql_types::{CmpOp, DataType};
+    use graql_types::CmpOp;
 
     fn schema() -> TableSchema {
         TableSchema::of(&[
@@ -245,14 +236,28 @@ mod tests {
         // attribute vs attribute of the wrong type
         let e = parse_expr("price = validFrom").unwrap();
         assert!(compile_single_table(&e, &schema(), &[], &Params::default()).is_err());
-        // and the static (no-params) variant
-        let e = parse_expr("validFrom = %D%").unwrap();
-        assert!(
-            typecheck_single_table(&e, &schema(), &[]).is_ok(),
-            "param type unknown → ok"
+        // and the static (no-params) check
+        let s = schema();
+        let check = |src: &str| {
+            let e = parse_expr(src).unwrap();
+            typecheck(
+                &e,
+                &mut Ctx::fail_fast(),
+                &mut single_table(&s, &["Offers"]),
+            )
+        };
+        assert!(check("validFrom = %D%").is_ok(), "param type unknown → ok");
+        let d = check("validFrom = 'x'").unwrap_err();
+        assert_eq!(d.code, codes::INCOMPARABLE);
+        assert_eq!(d.message, "cannot compare date with varchar(0)");
+        assert_eq!(
+            check("Other.price > 1").unwrap_err().code,
+            codes::BAD_QUALIFIER
         );
-        let e = parse_expr("validFrom = 'x'").unwrap();
-        assert!(typecheck_single_table(&e, &schema(), &[]).is_err());
+        assert_eq!(
+            check("Offers.nope > 1").unwrap_err().code,
+            codes::UNKNOWN_ATTR
+        );
     }
 
     #[test]

@@ -445,24 +445,23 @@ impl Database {
         self.ensure_graph()?;
         self.refresh_catstats();
         let ctx = self.exec_ctx(guard)?;
-        Self::explain_plan(&ctx, self.catstats.as_deref(), sel)
+        let rewritten = crate::analysis::rewrite_select(sel);
+        Self::explain_plan(&ctx, self.catstats.as_deref(), sel, rewritten.as_ref())
     }
 
     /// The shared plan rendering used by `explain` and `profile`: the
-    /// statement after rewriting, annotated with per-operator cardinality
-    /// estimates when catalog statistics are available.
+    /// statement after rewriting (`rewritten`, the outcome of
+    /// [`crate::analysis::rewrite_select`] on `sel`), annotated with
+    /// per-operator cardinality estimates when catalog statistics are
+    /// available.
     fn explain_plan(
         ctx: &ExecCtx<'_>,
         stats: Option<&CatalogStats>,
         sel: &ast::SelectStmt,
+        rewritten: Option<&crate::analysis::Rewritten>,
     ) -> Result<String> {
-        let rewritten = if ctx.config.rewrite {
-            crate::analysis::rewrite_select(sel)
-        } else {
-            None
-        };
         let mut out = String::new();
-        let sel = match &rewritten {
+        let sel = match rewritten {
             Some(r) => {
                 out.push_str(&format!("rewrites applied: {}\n", r.passes.join(", ")));
                 &r.sel
@@ -522,14 +521,10 @@ impl Database {
         sel: &ast::SelectStmt,
         guard: &QueryGuard,
     ) -> Result<ProfileReport> {
+        let rewritten = crate::analysis::rewrite_select(sel);
         let plan = {
             let ctx = self.exec_ctx(guard)?;
-            Self::explain_plan(&ctx, self.catstats.as_deref(), sel)?
-        };
-        let rewritten = if self.config.rewrite {
-            crate::analysis::rewrite_select(sel)
-        } else {
-            None
+            Self::explain_plan(&ctx, self.catstats.as_deref(), sel, rewritten.as_ref())?
         };
         let run_sel = rewritten.as_ref().map(|r| &r.sel).unwrap_or(sel);
         let rows_before = guard.rows();
@@ -585,11 +580,7 @@ impl Database {
     ) -> Result<QueryOutput> {
         // Semantics-preserving rewrites (analysis::rewrite). `None` means
         // nothing changed and the original statement runs as-is.
-        let rewritten = if self.config.rewrite {
-            crate::analysis::rewrite_select(sel)
-        } else {
-            None
-        };
+        let rewritten = crate::analysis::rewrite_select(sel);
         let sel = rewritten.as_ref().map(|r| &r.sel).unwrap_or(sel);
         self.execute_select_prepared(sel, guard, obs)
     }

@@ -286,7 +286,7 @@ pub fn build_edge_set(
     for c in conjuncts {
         let mut rel_ids: FxHashSet<usize> = FxHashSet::default();
         let mut first_err: Option<GraqlError> = None;
-        for_each_attr(c, &mut |q, name| match resolve(q, name, &rels) {
+        c.for_each_attr(&mut |q, name| match resolve(q, name, &rels) {
             Ok((r, _)) => {
                 rel_ids.insert(r);
             }
@@ -509,27 +509,13 @@ fn flatten_and<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
 }
 
 fn collect_qualifiers(e: &Expr, out: &mut Vec<String>) {
-    for_each_attr(e, &mut |q, _| {
+    e.for_each_attr(&mut |q, _| {
         if let Some(q) = q {
             if !out.iter().any(|x| x == q) {
                 out.push(q.clone());
             }
         }
     });
-}
-
-fn for_each_attr(e: &Expr, f: &mut dyn FnMut(&Option<String>, &str)) {
-    match e {
-        Expr::And(parts) | Expr::Or(parts) => parts.iter().for_each(|p| for_each_attr(p, f)),
-        Expr::Not(inner) => for_each_attr(inner, f),
-        Expr::Cmp { lhs, rhs, .. } => {
-            for o in [lhs, rhs] {
-                if let Operand::Attr { qualifier, name } = o {
-                    f(qualifier, name);
-                }
-            }
-        }
-    }
 }
 
 /// Resolves `(qualifier, attribute)` to a `(relation, column)` pair.

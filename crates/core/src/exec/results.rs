@@ -93,10 +93,10 @@ pub fn execute_graph_select(ctx: &ExecCtx<'_>, sel: &ast::SelectStmt) -> Result<
 /// Runs one or-branch, deciding whether bindings are required.
 fn run_branch(ctx: &ExecCtx<'_>, paths: &[&ast::PathQuery], want_table: bool) -> Result<QueryRun> {
     // Structural features that force binding-level execution.
-    let has_labels = paths.iter().any(|p| {
-        p.vertex_steps().iter().any(|v| v.label_def.is_some())
-            || p.edge_steps().iter().any(|e| e.label_def.is_some())
-    });
+    let mut has_labels = false;
+    for p in paths {
+        p.for_each_step(&mut |s, _| has_labels |= s.label_def().is_some());
+    }
     let multi = paths.len() > 1;
     let need_bindings = want_table || has_labels || multi;
     let has_groups = paths.iter().any(|p| {

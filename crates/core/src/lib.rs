@@ -13,12 +13,14 @@
 //!
 //! * [`catalog`] — the metadata repository of tables, vertex and edge
 //!   definitions held by the GEMS front-end server.
-//! * [`analyze`] — static query analysis (§III-A): pure catalog checks,
-//!   no data access.
-//! * [`analysis`] — the IR-level pass framework layered above it: typed
-//!   dataflow over per-binding domains, semantics-preserving rewrites
-//!   (constant folding, dead-branch elimination, composition flattening)
-//!   and statistics-backed cardinality estimation.
+//! * [`analyze`] — static query analysis (§III-A): one pass over the AST,
+//!   pure catalog checks, no data access; in collecting mode it also runs
+//!   the [`lint`] rules on each statement.
+//! * [`analysis`] — the AST-level analyses it and the executor share:
+//!   typed dataflow over per-binding domains (the predicate analyzer),
+//!   semantics-preserving rewrites (constant folding, dead-branch
+//!   elimination, composition flattening) and statistics-backed
+//!   cardinality estimation.
 //! * [`ir`] — the "high-level binary intermediate representation" a script
 //!   compiles into before moving to the backend.
 //! * [`ddl`] — executable semantics of vertex/edge creation (Eq. 1–2),

@@ -30,10 +30,6 @@ pub struct ExecConfig {
     pub max_rows: usize,
     /// Cap on `*`/`+` regex repetitions.
     pub regex_cap: u32,
-    /// Semantics-preserving plan rewrites before execution (constant
-    /// folding, dead-branch elimination, composition flattening). Off is
-    /// the ablation / differential-testing baseline.
-    pub rewrite: bool,
     /// Default per-query governance budget (deadline + row/byte caps).
     /// Sessions mint one `QueryGuard` per request from this; the network
     /// server additionally folds in its per-request deadline.
@@ -53,7 +49,6 @@ impl Default for ExecConfig {
             culling: true,
             max_rows: 50_000_000,
             regex_cap: crate::compile::REGEX_CAP,
-            rewrite: true,
             budget: graql_types::QueryBudget::UNLIMITED,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())

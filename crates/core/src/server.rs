@@ -748,12 +748,10 @@ impl Session {
                             .statements
                             .iter()
                             .map(|s| match s {
-                                Stmt::Select(sel) if db.config().rewrite => {
-                                    match crate::analysis::rewrite_select(sel) {
-                                        Some(r) => Stmt::Select(r.sel),
-                                        None => s.clone(),
-                                    }
-                                }
+                                Stmt::Select(sel) => match crate::analysis::rewrite_select(sel) {
+                                    Some(r) => Stmt::Select(r.sel),
+                                    None => s.clone(),
+                                },
                                 _ => s.clone(),
                             })
                             .collect();

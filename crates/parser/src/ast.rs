@@ -391,6 +391,109 @@ impl Expr {
             Expr::Cmp { span, .. } => *span,
         }
     }
+
+    /// Visits every comparison leaf, left to right, through any nesting
+    /// of `and`/`or`/`not`.
+    pub fn for_each_cmp<'a>(&'a self, f: &mut impl FnMut(CmpOp, &'a Operand, &'a Operand, Span)) {
+        match self {
+            Expr::And(ps) | Expr::Or(ps) => ps.iter().for_each(|p| p.for_each_cmp(f)),
+            Expr::Not(inner) => inner.for_each_cmp(f),
+            Expr::Cmp { op, lhs, rhs, span } => f(*op, lhs, rhs, *span),
+        }
+    }
+
+    /// Visits every attribute operand as `(qualifier, name)`, left to right.
+    pub fn for_each_attr<'a>(&'a self, f: &mut impl FnMut(&'a Option<String>, &'a str)) {
+        self.for_each_cmp(&mut |_, lhs, rhs, _| {
+            for o in [lhs, rhs] {
+                if let Operand::Attr { qualifier, name } = o {
+                    f(qualifier, name);
+                }
+            }
+        });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The step visitor
+// ---------------------------------------------------------------------------
+
+/// One step of a path, as the step visitor yields it.
+#[derive(Debug, Clone, Copy)]
+pub enum Step<'a> {
+    Vertex(&'a VertexStep),
+    Edge(&'a EdgeStep),
+}
+
+/// The mutable twin of [`Step`].
+#[derive(Debug)]
+pub enum StepMut<'a> {
+    Vertex(&'a mut VertexStep),
+    Edge(&'a mut EdgeStep),
+}
+
+/// The repetition group a visited step sits in, and which of its hops the
+/// step belongs to: a group's first step is the edge of hop 0, its last
+/// the vertex of the last hop.
+#[derive(Debug, Clone, Copy)]
+pub struct InGroup<'a> {
+    pub hops: &'a [(EdgeStep, VertexStep)],
+    pub quant: Quant,
+    pub span: Span,
+    pub hop: usize,
+}
+
+impl<'a> Step<'a> {
+    pub fn name(self) -> &'a StepName {
+        match self {
+            Step::Vertex(v) => &v.name,
+            Step::Edge(e) => &e.name,
+        }
+    }
+
+    pub fn label_def(self) -> Option<&'a LabelDef> {
+        match self {
+            Step::Vertex(v) => v.label_def.as_ref(),
+            Step::Edge(e) => e.label_def.as_ref(),
+        }
+    }
+
+    pub fn cond(self) -> Option<&'a Expr> {
+        match self {
+            Step::Vertex(v) => v.cond.as_ref(),
+            Step::Edge(e) => e.cond.as_ref(),
+        }
+    }
+}
+
+impl StepMut<'_> {
+    pub fn label_def(&mut self) -> &mut Option<LabelDef> {
+        match self {
+            StepMut::Vertex(v) => &mut v.label_def,
+            StepMut::Edge(e) => &mut e.label_def,
+        }
+    }
+
+    pub fn cond(&mut self) -> &mut Option<Expr> {
+        match self {
+            StepMut::Vertex(v) => &mut v.cond,
+            StepMut::Edge(e) => &mut e.cond,
+        }
+    }
+}
+
+impl AggCall {
+    /// The aggregated column (`None` for `count(*)`).
+    pub fn arg(&self) -> Option<&ColRef> {
+        match self {
+            AggCall::CountStar => None,
+            AggCall::Count(c)
+            | AggCall::Sum(c)
+            | AggCall::Avg(c)
+            | AggCall::Min(c)
+            | AggCall::Max(c) => Some(c),
+        }
+    }
 }
 
 impl SelectStmt {
@@ -403,36 +506,119 @@ impl SelectStmt {
             }
         }
     }
+
+    /// Every name that could reference a step label: step names (a later
+    /// step named after a label unifies with it), condition qualifiers,
+    /// projection, grouping and ordering columns (qualifier and bare name
+    /// alike), and `where` qualifiers.
+    pub fn for_each_label_ref<'a>(&'a self, f: &mut impl FnMut(&'a str)) {
+        fn note_quals<'a>(e: &'a Expr, f: &mut impl FnMut(&'a str)) {
+            e.for_each_attr(&mut |q, _| {
+                if let Some(q) = q {
+                    f(q);
+                }
+            })
+        }
+        if let SelectSource::Graph(comp) = &self.source {
+            comp.for_each_step(&mut |s, _| {
+                if let StepName::Named(n) = s.name() {
+                    f(n);
+                }
+                if let Some(c) = s.cond() {
+                    note_quals(c, f);
+                }
+            });
+        }
+        let mut note_col = |c: &'a ColRef| {
+            if let Some(q) = &c.qualifier {
+                f(q);
+            }
+            f(&c.name);
+        };
+        if let SelectTargets::Items(items) = &self.targets {
+            for item in items {
+                match &item.expr {
+                    SelectExpr::Col(c) => note_col(c),
+                    SelectExpr::Agg(a) => a.arg().into_iter().for_each(&mut note_col),
+                }
+            }
+        }
+        self.group_by.iter().for_each(&mut note_col);
+        self.order_by.iter().for_each(|k| note_col(&k.col));
+        if let Some(w) = &self.where_clause {
+            note_quals(w, f);
+        }
+    }
 }
 
 impl PathQuery {
-    /// Iterates all vertex steps (head, hop vertices, group hops and group
-    /// exits) in syntactic order.
-    pub fn vertex_steps(&self) -> Vec<&VertexStep> {
-        let mut out = vec![&self.head];
-        for s in &self.segments {
-            match s {
-                Segment::Hop { vertex, .. } => out.push(vertex),
-                Segment::Group { hops, exit, .. } => {
-                    out.extend(hops.iter().map(|(_, v)| v));
+    /// The step visitor: every step in syntactic order (the head, each
+    /// hop's edge then vertex, a group's hops, a group's exit), with the
+    /// repetition group the step sits in. A group's exit follows the group
+    /// and is not inside it.
+    pub fn for_each_step<'a>(&'a self, f: &mut impl FnMut(Step<'a>, Option<InGroup<'a>>)) {
+        f(Step::Vertex(&self.head), None);
+        for seg in &self.segments {
+            match seg {
+                Segment::Hop { edge, vertex } => {
+                    f(Step::Edge(edge), None);
+                    f(Step::Vertex(vertex), None);
+                }
+                Segment::Group {
+                    hops,
+                    quant,
+                    exit,
+                    span,
+                } => {
+                    for (hop, (e, v)) in hops.iter().enumerate() {
+                        let g = InGroup {
+                            hops,
+                            quant: *quant,
+                            span: *span,
+                            hop,
+                        };
+                        f(Step::Edge(e), Some(g));
+                        f(Step::Vertex(v), Some(g));
+                    }
                     if let Some(v) = exit {
-                        out.push(v);
+                        f(Step::Vertex(v), None);
                     }
                 }
             }
         }
-        out
     }
 
-    /// Iterates all edge steps in syntactic order.
-    pub fn edge_steps(&self) -> Vec<&EdgeStep> {
-        let mut out = Vec::new();
-        for s in &self.segments {
-            match s {
-                Segment::Hop { edge, .. } => out.push(edge),
-                Segment::Group { hops, .. } => out.extend(hops.iter().map(|(e, _)| e)),
+    /// [`PathQuery::for_each_step`] with mutable steps, in the same order.
+    pub fn for_each_step_mut(&mut self, f: &mut impl FnMut(StepMut<'_>)) {
+        f(StepMut::Vertex(&mut self.head));
+        for seg in &mut self.segments {
+            match seg {
+                Segment::Hop { edge, vertex } => {
+                    f(StepMut::Edge(edge));
+                    f(StepMut::Vertex(vertex));
+                }
+                Segment::Group { hops, exit, .. } => {
+                    for (e, v) in hops {
+                        f(StepMut::Edge(e));
+                        f(StepMut::Vertex(v));
+                    }
+                    if let Some(v) = exit {
+                        f(StepMut::Vertex(v));
+                    }
+                }
             }
         }
+    }
+
+    /// All vertex steps (head, hop vertices, group hops and group exits)
+    /// in syntactic order.
+    pub fn vertex_steps(&self) -> Vec<&VertexStep> {
+        let mut out = Vec::new();
+        self.for_each_step(&mut |s, _| {
+            if let Step::Vertex(v) = s {
+                out.push(v);
+            }
+        });
         out
     }
 }
@@ -440,11 +626,85 @@ impl PathQuery {
 impl PathComposition {
     /// All simple paths in the composition, left to right.
     pub fn paths(&self) -> Vec<&PathQuery> {
+        let mut out = Vec::new();
+        self.for_each_path(&mut |p| out.push(p));
+        out
+    }
+
+    fn for_each_path<'a>(&'a self, f: &mut impl FnMut(&'a PathQuery)) {
         match self {
-            PathComposition::Single(p) => vec![p],
+            PathComposition::Single(p) => f(p),
             PathComposition::And(cs) | PathComposition::Or(cs) => {
-                cs.iter().flat_map(|c| c.paths()).collect()
+                cs.iter().for_each(|c| c.for_each_path(f))
             }
         }
+    }
+
+    /// [`PathQuery::for_each_step`] over every path, left to right.
+    pub fn for_each_step<'a>(&'a self, f: &mut impl FnMut(Step<'a>, Option<InGroup<'a>>)) {
+        self.for_each_path(&mut |p| p.for_each_step(f));
+    }
+
+    /// [`PathQuery::for_each_step_mut`] over every path, left to right.
+    pub fn for_each_step_mut(&mut self, f: &mut impl FnMut(StepMut<'_>)) {
+        match self {
+            PathComposition::Single(p) => p.for_each_step_mut(f),
+            PathComposition::And(cs) | PathComposition::Or(cs) => {
+                cs.iter_mut().for_each(|c| c.for_each_step_mut(f))
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn step_visitor_order_and_groups() {
+        let script = crate::parse(
+            "select * from graph A() --e--> B() { --f--> [] <--g-- D() }{1,2} --> E(x > 1)",
+        )
+        .unwrap();
+        let Some(SelectStmt {
+            source: SelectSource::Graph(comp),
+            ..
+        }) = script.statements[0].as_select()
+        else {
+            panic!("graph select")
+        };
+        let mut seen = Vec::new();
+        comp.for_each_step(&mut |step, group| {
+            let name = match step.name() {
+                StepName::Named(n) => n.clone(),
+                StepName::Any => "[]".into(),
+            };
+            seen.push((name, group.map(|g| (g.hop, g.hops.len(), g.quant))));
+        });
+        let q = Some(Quant::Range(1, 2));
+        let expect = [
+            ("A", None),
+            ("e", None),
+            ("B", None),
+            ("f", q.map(|q| (0, 2, q))),
+            ("[]", q.map(|q| (0, 2, q))),
+            ("g", q.map(|q| (1, 2, q))),
+            ("D", q.map(|q| (1, 2, q))),
+            ("E", None),
+        ];
+        let expect: Vec<_> = expect.iter().map(|(n, g)| (n.to_string(), *g)).collect();
+        assert_eq!(seen, expect);
+
+        // The mutable twin visits the same steps in the same order.
+        let mut comp = comp.clone();
+        let mut n = 0;
+        comp.for_each_step_mut(&mut |mut step| {
+            n += 1;
+            *step.cond() = None;
+        });
+        assert_eq!(n, expect.len());
+        let mut conds = 0;
+        comp.for_each_step(&mut |step, _| conds += step.cond().iter().count());
+        assert_eq!(conds, 0);
     }
 }
