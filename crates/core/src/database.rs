@@ -172,6 +172,7 @@ impl Database {
     fn graph_dirty(&mut self) {
         self.graph = None;
         self.stats = None;
+        self.catalog.set_many_to_one(Vec::new());
         // Table cards survive (they only change with the table they
         // describe); the graph sections no longer match anything.
         if let Some(cs) = &mut self.catstats {
@@ -240,11 +241,15 @@ impl Database {
 
     fn ensure_graph(&mut self) -> Result<()> {
         if self.graph.is_none() {
-            self.graph = Some(Arc::new(build_graph(
-                &self.catalog,
-                &self.storage,
-                &self.params,
-            )?));
+            let graph = build_graph(&self.catalog, &self.storage, &self.params)?;
+            let many_to_one = graph
+                .vtype_ids()
+                .map(|vt| graph.vset(vt))
+                .filter(|v| !v.mapping.is_one_to_one())
+                .map(|v| v.name.clone())
+                .collect();
+            self.catalog.set_many_to_one(many_to_one);
+            self.graph = Some(Arc::new(graph));
         }
         Ok(())
     }
@@ -548,6 +553,7 @@ impl Database {
             .as_ref()
             .ok_or_else(|| GraqlError::exec("internal: graph not built before select"))?;
         Ok(ExecCtx {
+            catalog: &self.catalog,
             graph,
             storage: &self.storage,
             result_tables: &self.result_tables,

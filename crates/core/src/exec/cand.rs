@@ -62,7 +62,7 @@ pub fn local_candidates(ctx: &ExecCtx<'_>, step: &CVStep) -> Result<Cand> {
         let sg = ctx
             .result_subgraphs
             .get(seed)
-            .ok_or_else(|| GraqlError::name(format!("unknown result subgraph {seed:?}")))?;
+            .ok_or_else(|| GraqlError::exec(format!("internal: no result subgraph {seed:?}")))?;
         for (vt, set) in out.iter_mut() {
             match sg.vertices_of(*vt) {
                 Some(seeded) if seeded.len() == set.len() => set.intersect_with(seeded),

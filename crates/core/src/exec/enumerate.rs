@@ -10,12 +10,12 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use graql_graph::{ETypeId, VTypeId};
 use graql_table::{morsel, BitSet};
-use graql_types::{GraqlError, Result, Value};
+use graql_types::{GraqlError, Result};
 use rustc_hash::FxHashMap;
 
 use graql_parser::ast::{Dir, LabelKind};
 
-use crate::compile::{BOperand, BindingCond, CLink, CPath};
+use crate::compile::{BindingCond, CLink, CPath};
 use crate::exec::cand::Cand;
 use crate::exec::expand::extensions_of;
 use crate::exec::ExecCtx;
@@ -42,23 +42,6 @@ enum Check<'a> {
     Cond(&'a BindingCond),
 }
 
-/// Evaluates a binding-level operand against a (partially) bound path.
-fn operand_value(
-    ctx: &ExecCtx<'_>,
-    op: &BOperand,
-    vstep_of_addr: &dyn Fn(crate::compile::StepAddr) -> usize,
-    bound: &[Option<(VTypeId, u32)>],
-) -> Result<Value> {
-    match op {
-        BOperand::Const(v) => Ok(v.clone()),
-        BOperand::Attr { addr, name } => {
-            let (vt, idx) =
-                bound[vstep_of_addr(*addr)].expect("checks run only when deps are bound");
-            ctx.vattr(vt, idx, name)
-        }
-    }
-}
-
 /// Evaluates a [`BindingCond`] whose dependencies live in one path.
 pub fn eval_cond_in_path(
     ctx: &ExecCtx<'_>,
@@ -66,12 +49,12 @@ pub fn eval_cond_in_path(
     path_idx: usize,
     bound: &[Option<(VTypeId, u32)>],
 ) -> Result<bool> {
-    let to_vstep = |addr: crate::compile::StepAddr| {
+    let bound = |addr: crate::compile::StepAddr| {
         debug_assert_eq!(addr.path, path_idx);
-        addr.vstep
+        bound[addr.vstep].expect("checks run only when deps are bound")
     };
-    let l = operand_value(ctx, &cond.lhs, &to_vstep, bound)?;
-    let r = operand_value(ctx, &cond.rhs, &to_vstep, bound)?;
+    let l = cond.lhs.value(ctx, bound)?;
+    let r = cond.rhs.value(ctx, bound)?;
     Ok(cond.op.eval(&l, &r))
 }
 

@@ -7,9 +7,10 @@
 use std::fmt::Write as _;
 
 use graql_parser::ast::{self, Dir};
-use graql_types::{GraqlError, Result};
+use graql_types::Result;
 
 use crate::analysis::cost;
+use crate::analyze::resolve::resolve_select;
 use crate::catalog::CatalogStats;
 use crate::compile::{CLink, CPath, CVStep};
 use crate::exec::cand::cand_count;
@@ -27,19 +28,17 @@ pub fn explain_graph_select(
     stats: Option<&CatalogStats>,
     sel: &ast::SelectStmt,
 ) -> Result<String> {
-    let ast::SelectSource::Graph(comp) = &sel.source else {
-        return Err(GraqlError::exec("internal: not a graph select"));
-    };
     // Estimates need the graph sections of the statistics store.
     let stats = stats.filter(|s| s.graph_complete);
     let mut out = String::new();
-    let branches = crate::compile::or_branches(comp)?;
-    for (bi, branch) in branches.iter().enumerate() {
-        if branches.len() > 1 {
+    let branches = resolve_select(ctx.catalog, sel)?.branches;
+    let n_branches = branches.len();
+    for (bi, q) in branches.into_iter().enumerate() {
+        if n_branches > 1 {
             let _ = writeln!(out, "or-branch {bi}:");
         }
         // Set-level run (no bindings) gives the culled candidate counts.
-        let qr = run_query(ctx, branch, false)?;
+        let qr = run_query(ctx, q, false)?;
         for (pi, p) in qr.cquery.paths.iter().enumerate() {
             let _ = writeln!(out, "  path {pi}:");
             let mut flow = stats.map(|st| vstep_estimate(ctx, st, &p.vsteps[0]));

@@ -13,15 +13,19 @@ pub mod results;
 use graql_graph::{Graph, Subgraph, VTypeId};
 use graql_table::ops::OpCtx;
 use graql_table::Table;
-use graql_types::{GraqlError, QueryGuard, QueryProfile, Result, Value};
+use graql_types::{GraqlError, QueryGuard, QueryProfile, Result};
 use rustc_hash::FxHashMap;
 
+use crate::catalog::Catalog;
 use crate::cond::Params;
 use crate::ddl::Storage;
 use crate::plan::ExecConfig;
 
 /// Everything a query needs to execute, borrowed from the database.
 pub struct ExecCtx<'a> {
+    /// The catalog `graph` was built from: graph selects resolve against
+    /// it ([`crate::analyze::resolve`]).
+    pub catalog: &'a Catalog,
     pub graph: &'a Graph,
     pub storage: &'a Storage,
     pub result_tables: &'a FxHashMap<String, std::sync::Arc<Table>>,
@@ -91,19 +95,6 @@ impl<'a> ExecCtx<'a> {
             .get(&self.graph.vset(vt).table)
             .map(|t| t.as_ref())
             .expect("graph views reference existing tables")
-    }
-
-    /// Attribute `name` of vertex `idx` of type `vt`.
-    pub fn vattr(&self, vt: VTypeId, idx: u32, name: &str) -> Result<Value> {
-        let vset = self.graph.vset(vt);
-        let table = self.vtable(vt);
-        let col = table.schema().require(name).map_err(|_| {
-            GraqlError::name(format!(
-                "vertex type {} has no attribute {name:?}",
-                vset.name
-            ))
-        })?;
-        vset.attr(table, idx, col)
     }
 
     /// A table by name: base storage first, then named results.

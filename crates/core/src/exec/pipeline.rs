@@ -72,7 +72,7 @@ pub fn execute_fused(
     producer: &ast::SelectStmt,
     consumer: &ast::SelectStmt,
 ) -> Result<Table> {
-    let SelectSource::Graph(comp) = &producer.source else {
+    let SelectSource::Graph(_) = &producer.source else {
         return Err(GraqlError::exec(
             "internal: fused producer must be a graph select",
         ));
@@ -185,7 +185,7 @@ pub fn execute_fused(
     let mut order: Vec<Vec<Value>> = Vec::new(); // first-seen group order
 
     // Stream the producer's bindings through a row callback.
-    crate::exec::results::stream_graph_select(ctx, producer, comp, |row: &[Value]| {
+    crate::exec::results::stream_graph_select(ctx, producer, |row: &[Value]| {
         let key: Vec<Value> = group_cols.iter().map(|&c| row[c].clone()).collect();
         let acc = groups.entry(key.clone()).or_insert_with(|| {
             order.push(key);

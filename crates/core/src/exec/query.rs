@@ -2,7 +2,6 @@
 //! enumeration and multi-path joins.
 
 use graql_graph::{ETypeId, VTypeId};
-use graql_parser::ast;
 use graql_table::BitSet;
 use graql_types::obs::{obs_record, obs_record_rows, obs_start, Stage};
 use graql_types::{GraqlError, Result};
@@ -10,7 +9,7 @@ use rustc_hash::FxHashMap;
 
 use graql_parser::ast::LabelKind;
 
-use crate::compile::{compile_query, BindingCond, CLink, CQuery, CompileCtx, StepAddr};
+use crate::compile::{lower, BindingCond, CLink, CQuery, StepAddr};
 use crate::exec::cand::{cand_count, edge_filters, local_candidates, Cand};
 use crate::exec::enumerate::{enumerate_path, Binding};
 use crate::exec::expand::expand;
@@ -42,20 +41,10 @@ impl QueryRun {
     }
 }
 
-/// Compiles and runs an and-composition.
-pub fn run_query(
-    ctx: &ExecCtx<'_>,
-    paths: &[&ast::PathQuery],
-    need_bindings: bool,
-) -> Result<QueryRun> {
-    let cctx = CompileCtx {
-        graph: ctx.graph,
-        storage: ctx.storage,
-        params: ctx.params,
-        regex_cap: ctx.config.regex_cap,
-    };
+/// Lowers and runs a resolved and-composition.
+pub fn run_query(ctx: &ExecCtx<'_>, mut cquery: CQuery, need_bindings: bool) -> Result<QueryRun> {
     let span = obs_start(ctx.obs);
-    let cquery = compile_query(&cctx, paths)?;
+    lower(ctx, &mut cquery)?;
     obs_record(ctx.obs, Stage::Compile, span);
 
     // Local candidates + edge filters.
@@ -159,8 +148,10 @@ fn apply_label_restriction(
     }
 }
 
-/// Semi-join sweeps over every path (plus label re-restriction) until the
-/// candidate sets stop shrinking.
+/// Forward and backward semi-join sweeps over every path, repeated until
+/// the total candidate count stops shrinking (at most four rounds). Label
+/// references are restricted once, before the sweeps, by
+/// `apply_label_restriction`; the sweeps do not re-apply it.
 fn cull_to_fixpoint(
     ctx: &ExecCtx<'_>,
     q: &CQuery,
@@ -448,14 +439,8 @@ fn produce_bindings(
 }
 
 fn eval_cross_cond(ctx: &ExecCtx<'_>, bc: &BindingCond, mb: &MultiBinding) -> Result<bool> {
-    let value = |op: &crate::compile::BOperand| -> Result<graql_types::Value> {
-        match op {
-            crate::compile::BOperand::Const(v) => Ok(v.clone()),
-            crate::compile::BOperand::Attr { addr, name } => {
-                let (vt, idx) = mb.per_path[addr.path].v[addr.vstep];
-                ctx.vattr(vt, idx, name)
-            }
-        }
-    };
-    Ok(bc.op.eval(&value(&bc.lhs)?, &value(&bc.rhs)?))
+    let bound = |a: StepAddr| QueryRun::instance(mb, a);
+    Ok(bc
+        .op
+        .eval(&bc.lhs.value(ctx, bound)?, &bc.rhs.value(ctx, bound)?))
 }

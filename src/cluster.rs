@@ -9,7 +9,7 @@
 //! through [`run_query`] and compares the owners of the last two vertices
 //! of every binding. No second executor is involved.
 
-use graql_core::compile::{compile_query, CompileCtx};
+use graql_core::analyze::resolve::resolve_paths;
 use graql_core::exec::enumerate::Binding;
 use graql_core::exec::query::run_query;
 use graql_core::exec::ExecCtx;
@@ -138,14 +138,7 @@ pub fn comm_profile(db: &Database, path: &PathQuery, nodes: usize) -> Result<Clu
         .graph_ref()
         .ok_or_else(|| GraqlError::cluster("build the graph before forming a cluster"))?;
     let (storage, params, config) = (db.storage(), db.params(), db.config());
-    let regex_cap = config.regex_cap;
-    let cctx = CompileCtx {
-        graph,
-        storage,
-        params,
-        regex_cap,
-    };
-    let cquery = compile_query(&cctx, &[path])?;
+    let cquery = resolve_paths(db.catalog(), &[path])?;
     let steps = &cquery.paths[0].vsteps;
     if cquery.paths[0].has_groups()
         || steps
@@ -161,6 +154,7 @@ pub fn comm_profile(db: &Database, path: &PathQuery, nodes: usize) -> Result<Clu
     // Seeds are rejected above, so no prior result is ever consulted.
     let (no_tables, no_subgraphs) = Default::default();
     let ctx = ExecCtx {
+        catalog: db.catalog(),
         graph,
         storage,
         result_tables: &no_tables,
@@ -174,7 +168,8 @@ pub fn comm_profile(db: &Database, path: &PathQuery, nodes: usize) -> Result<Clu
     let prefix_bindings = |hops: usize| -> Result<Vec<Binding>> {
         let head = path.head.clone();
         let segments = path.segments[..hops].to_vec();
-        let run = run_query(&ctx, &[&PathQuery { head, segments }], true)?;
+        let prefix = resolve_paths(db.catalog(), &[&PathQuery { head, segments }])?;
+        let run = run_query(&ctx, prefix, true)?;
         let joined = run.bindings.expect("bindings were requested");
         Ok(joined
             .into_iter()
