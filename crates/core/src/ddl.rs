@@ -877,6 +877,28 @@ mod tests {
         let es = graph.eset(graph.etype("rel").unwrap());
         // Rel rows link products 1,2 to vendors 1 (CA), 2 (CN).
         assert_eq!(es.len(), 2);
+        let def = catalog.edge("rel").unwrap();
+        assert_eq!(catalog.assoc_table(def), es.assoc_table.as_deref());
+    }
+
+    /// The resolver's static associated-table rule agrees with the built
+    /// views on every Berlin edge: `from` tables (`type`, `feature`), none
+    /// (the foreign-key edges) and two (`export`).
+    #[test]
+    fn catalog_assoc_table_matches_built_views() {
+        let mut db = graql_bsbm::build_database(graql_bsbm::Scale::new(5)).unwrap();
+        let catalog = db.catalog().clone();
+        let g = db.graph().unwrap();
+        for et in g.etype_ids() {
+            let es = g.eset(et);
+            let def = catalog.edge(&es.name).unwrap();
+            assert_eq!(
+                catalog.assoc_table(def),
+                es.assoc_table.as_deref(),
+                "{}",
+                es.name
+            );
+        }
     }
 
     #[test]
