@@ -13,8 +13,8 @@
 //!
 //! This is the one static-analysis pass over the parsed `ast` (§III-A):
 //! one walk over the statements, one comparison type checker
-//! ([`crate::cond::typecheck`]), and for graph selects the one resolver
-//! ([`resolve`]) that execution runs too. Two reporting modes share it:
+//! ([`crate::cond::typecheck`]), and for selects the one resolver
+//! ([`resolve`]) whose plans execution runs. Two reporting modes share it:
 //!
 //! * [`analyze_script`] is **fail-fast**: it stops at the first error and
 //!   returns it as a classified [`GraqlError`] (the contract execution
@@ -25,7 +25,7 @@
 //!   rest of the clause from being checked), and runs the warning and
 //!   hint rules of [`crate::lint`] on each statement in the same walk.
 
-use graql_parser::ast::{self, SelectExpr, SelectTargets, Stmt};
+use graql_parser::ast::{self, Stmt};
 use graql_table::{ColumnDef, TableSchema};
 use graql_types::{codes, DataType, Diagnostic, Diagnostics, GraqlError, Result, Span};
 use rustc_hash::FxHashMap;
@@ -361,160 +361,13 @@ fn typecheck_edge_where(
 // ---------------------------------------------------------------------------
 
 fn check_select(work: &mut Catalog, sel: &ast::SelectStmt, ctx: &mut Ctx) -> DResult<()> {
-    match &sel.source {
-        ast::SelectSource::Table(t) => check_table_select(work, sel, t, ctx),
-        ast::SelectSource::Graph(_) => {
-            let resolved = resolve::resolve_graph_select(work, sel, ctx)?;
-            register_into(work, sel, resolved.schema)
+    let schema = match &sel.source {
+        ast::SelectSource::Table(_) => {
+            resolve::resolve_table_select(work, sel, ctx)?.map(|t| t.schema)
         }
-    }
-}
-
-fn check_table_select(
-    work: &mut Catalog,
-    sel: &ast::SelectStmt,
-    table: &str,
-    ctx: &mut Ctx,
-) -> DResult<()> {
-    let schema = work
-        .require_any_table(table)
-        .map_err(|e| entity_err(&e, sel.span))?
-        .clone();
-    // An empty schema marks a result table whose columns could not be
-    // inferred statically (e.g. edge-label projections); skip column-level
-    // checks and let execution validate.
-    if schema.is_empty() {
-        return register_into(work, sel, None);
-    }
-    if let Some(w) = &sel.where_clause {
-        typecheck(w, ctx, &mut single_table(&schema, &[table]))?;
-    }
-    let col = |c: &ast::ColRef| -> DResult<usize> {
-        if let Some(q) = &c.qualifier {
-            if q != table {
-                return Err(Diagnostic::error(
-                    codes::BAD_QUALIFIER,
-                    format!("unknown qualifier '{q}'; the table is '{table}'"),
-                    sel.span,
-                ));
-            }
-        }
-        schema.require(&c.name).map_err(|e| attr_err(&e, sel.span))
+        ast::SelectSource::Graph(_) => resolve::resolve_graph_select(work, sel, ctx)?.schema,
     };
-    for g in &sel.group_by {
-        if let Err(d) = col(g) {
-            ctx.emit(d)?;
-        }
-    }
-    // Output schema inference. `complete` drops to false when a problem
-    // leaves a column's type unknown; the result is then registered with
-    // an empty schema (checked at execution instead).
-    let mut out_defs: Vec<ColumnDef> = Vec::new();
-    let mut complete = true;
-    match &sel.targets {
-        SelectTargets::Star => {
-            if !sel.group_by.is_empty() {
-                ctx.emit(Diagnostic::error(
-                    codes::BAD_AGGREGATE,
-                    "'select *' cannot be grouped",
-                    sel.span,
-                ))?;
-            }
-            out_defs = schema.columns().to_vec();
-        }
-        SelectTargets::Items(items) => {
-            let grouped = sel.has_aggregates() || !sel.group_by.is_empty();
-            for (i, item) in items.iter().enumerate() {
-                match &item.expr {
-                    SelectExpr::Col(c) => {
-                        let ci = match col(c) {
-                            Ok(ci) => ci,
-                            Err(d) => {
-                                ctx.emit(d)?;
-                                complete = false;
-                                continue;
-                            }
-                        };
-                        if grouped && !sel.group_by.iter().any(|g| col(g).is_ok_and(|gi| gi == ci))
-                        {
-                            ctx.emit(Diagnostic::error(
-                                codes::BAD_AGGREGATE,
-                                format!(
-                                    "column '{}' must appear in 'group by' or inside an aggregate",
-                                    c.name
-                                ),
-                                sel.span,
-                            ))?;
-                        }
-                        let name = item.alias.clone().unwrap_or_else(|| c.name.clone());
-                        out_defs.push(ColumnDef::new(name, schema.column(ci).dtype));
-                    }
-                    SelectExpr::Agg(a) => {
-                        let needs_numeric =
-                            matches!(a, ast::AggCall::Sum(_) | ast::AggCall::Avg(_));
-                        let mut arg_dtype = None;
-                        if let Some(c) = a.arg() {
-                            match col(c) {
-                                Ok(ci) => {
-                                    let dt = schema.column(ci).dtype;
-                                    arg_dtype = Some(dt);
-                                    if needs_numeric && !dt.is_numeric() {
-                                        ctx.emit(Diagnostic::error(
-                                            codes::BAD_AGGREGATE,
-                                            format!(
-                                                "aggregate over non-numeric column '{}'",
-                                                c.name
-                                            ),
-                                            sel.span,
-                                        ))?;
-                                    }
-                                }
-                                Err(d) => {
-                                    ctx.emit(d)?;
-                                }
-                            }
-                        }
-                        let dtype = match a {
-                            ast::AggCall::CountStar | ast::AggCall::Count(_) => {
-                                Some(DataType::Integer)
-                            }
-                            ast::AggCall::Avg(_) => Some(DataType::Float),
-                            ast::AggCall::Sum(_) | ast::AggCall::Min(_) | ast::AggCall::Max(_) => {
-                                arg_dtype
-                            }
-                        };
-                        match dtype {
-                            Some(dt) => {
-                                let name = item.alias.clone().unwrap_or_else(|| format!("agg_{i}"));
-                                out_defs.push(ColumnDef::new(name, dt));
-                            }
-                            None => complete = false,
-                        }
-                    }
-                }
-            }
-        }
-    }
-    let out_schema = if complete {
-        Some(TableSchema::new(out_defs).map_err(|e| Diagnostic::from_error(&e, sel.span))?)
-    } else {
-        None
-    };
-    if let Some(os) = &out_schema {
-        for k in &sel.order_by {
-            if os.require(&k.col.name).is_err() {
-                ctx.emit(Diagnostic::error(
-                    codes::UNKNOWN_ATTR,
-                    format!(
-                        "'order by' column '{}' is not in the select output",
-                        k.col.name
-                    ),
-                    sel.span,
-                ))?;
-            }
-        }
-    }
-    register_into(work, sel, out_schema)
+    register_into(work, sel, schema)
 }
 
 fn register_into(

@@ -1,24 +1,29 @@
-//! The resolver of graph selects (paper §III-A): the one place that decides
-//! whether a graph select is legal, from the catalog alone.
+//! The resolver of selects (paper §III-A): the one place that decides
+//! whether a select is legal, from the catalog alone.
 //!
-//! It resolves step names to vertex and edge types, labels to step
-//! addresses, narrows variant domains through edge endpoint types,
-//! resolves every attribute a condition or projection reads to a column
-//! per candidate type, and infers the output schema (star expansion and
-//! name uniquifying included). Types are numbered in catalog declaration
-//! order, which is the order `build_graph` registers them in, so the
-//! result is a [`CQuery`] per `or` branch that
+//! For a graph select it resolves step names to vertex and edge types,
+//! labels to step addresses, narrows variant domains through edge endpoint
+//! types, resolves every attribute a condition or projection reads to a
+//! column per candidate type, and infers the output schema (star expansion
+//! and name uniquifying included). Types are numbered in catalog
+//! declaration order, which is the order `build_graph` registers them in,
+//! so the result is a [`CQuery`] per `or` branch that
 //! [`crate::compile::lower`] only has to lower.
 //!
+//! For a table select it resolves the source table, the group columns, the
+//! aggregates and the `order by` keys to column ids, and names and types
+//! the output ([`TableSelect`]).
+//!
 //! Static analysis runs it in both reporting modes (fail-fast and
-//! collecting); execution runs it fail-fast against the catalog of the
-//! snapshot it reads. Checks that only make sense once a path resolved
-//! cleanly (domain narrowing, binding conditions, the repetition-group
-//! rule) run only when the path or branch produced no error, so one
-//! mistake is reported once.
+//! collecting); execution receives what [`resolve_select`] returns, never
+//! the catalog. Checks that only make sense once a path resolved cleanly
+//! (domain narrowing, binding conditions, the repetition-group rule) run
+//! only when the path or branch produced no error, so one mistake is
+//! reported once.
 
 use graql_graph::{ETypeId, VTypeId};
 use graql_parser::ast::{self, Dir, InGroup, SelectExpr, SelectTargets, Step, StepName};
+use graql_table::ops::{AggFn, AggSpec, SortKey};
 use graql_table::{ColumnDef, TableSchema};
 use graql_types::{codes, DataType, Diagnostic, Result, Span};
 use rustc_hash::FxHashMap;
@@ -32,6 +37,7 @@ use crate::compile::{
 use crate::cond::{single_table, typecheck};
 
 /// A graph select resolved against a catalog.
+#[derive(Clone)]
 pub struct GraphSelect {
     /// One and-composition per `or` branch, each with its projection.
     pub branches: Vec<CQuery>,
@@ -42,10 +48,62 @@ pub struct GraphSelect {
     pub schema: Option<TableSchema>,
 }
 
-/// Resolves a graph select, stopping at the first error (the form
-/// execution uses).
-pub fn resolve_select(catalog: &Catalog, sel: &ast::SelectStmt) -> Result<GraphSelect> {
-    resolve_graph_select(catalog, sel, &mut Ctx::fail_fast()).map_err(Diagnostic::into_error)
+/// A table select resolved against a catalog: the Table-1 operations
+/// (§II-C) over column ids, in the order they run.
+#[derive(Clone)]
+pub struct TableSelect {
+    /// The source: a base table or a named `into table` result.
+    pub table: String,
+    /// The `where` clause (type-checked against the source).
+    pub filter: Option<ast::Expr>,
+    pub shape: TableShape,
+    /// The output: names after aliasing, types after aggregation.
+    pub schema: TableSchema,
+    pub distinct: bool,
+    /// `order by` keys over the output columns.
+    pub order_by: Vec<SortKey>,
+    pub top: Option<usize>,
+}
+
+/// How a table select's output columns come from its filtered source.
+#[derive(Clone)]
+pub enum TableShape {
+    /// `select *`: the source as it is.
+    Star,
+    /// Source columns, in select-list order.
+    Columns(Vec<usize>),
+    /// `group by` and aggregates. The kernel lays out the group columns,
+    /// then the aggregates; `order` picks the select list from that layout.
+    Grouped {
+        groups: Vec<usize>,
+        aggs: Vec<AggSpec>,
+        order: Vec<usize>,
+    },
+}
+
+/// A select resolved against a catalog.
+// Built once per statement and moved, never stored in bulk.
+#[allow(clippy::large_enum_variant)]
+#[derive(Clone)]
+pub enum Resolved {
+    Graph(GraphSelect),
+    Table(TableSelect),
+}
+
+/// Resolves a select, stopping at the first error (the form execution
+/// uses).
+pub fn resolve_select(catalog: &Catalog, sel: &ast::SelectStmt) -> Result<Resolved> {
+    let ctx = &mut Ctx::fail_fast();
+    match &sel.source {
+        ast::SelectSource::Graph(_) => resolve_graph_select(catalog, sel, ctx).map(Resolved::Graph),
+        ast::SelectSource::Table(t) => resolve_table_select(catalog, sel, ctx).and_then(|plan| {
+            plan.map(Resolved::Table).ok_or_else(|| {
+                let m = format!("internal: the columns of table '{t}' are unknown");
+                Diagnostic::error(codes::EXEC_OTHER, m, sel.span)
+            })
+        }),
+    }
+    .map_err(Diagnostic::into_error)
 }
 
 /// Resolves one and-composition of paths with no select around it (the
@@ -128,6 +186,178 @@ pub(crate) fn resolve_graph_select(
         to_table,
         schema,
     })
+}
+
+/// Resolves a table select. `None`: the output schema is unknown, because
+/// the source's columns are (a result whose select reported a problem) or
+/// because a reported problem left a column unresolved. A plan returned
+/// after a reported problem is good for its schema only.
+pub(crate) fn resolve_table_select(
+    cat: &Catalog,
+    sel: &ast::SelectStmt,
+    ctx: &mut Ctx,
+) -> DResult<Option<TableSelect>> {
+    let ast::SelectSource::Table(table) = &sel.source else {
+        return Err(Diagnostic::error(
+            codes::EXEC_OTHER,
+            "internal: not a table select",
+            sel.span,
+        ));
+    };
+    let err = |code, m: String| Diagnostic::error(code, m, sel.span);
+    let schema = cat
+        .require_any_table(table)
+        .map_err(|e| entity_err(&e, sel.span))?;
+    if let Some(ast::IntoClause::Subgraph(_)) = sel.into {
+        ctx.emit(err(
+            codes::WRONG_KIND,
+            "attribute/table selections capture 'into table', not 'into subgraph'".into(),
+        ))?;
+    }
+    if schema.is_empty() {
+        return Ok(None);
+    }
+    if let Some(w) = &sel.where_clause {
+        typecheck(w, ctx, &mut single_table(schema, &[table]))?;
+    }
+    let col = |c: &ast::ColRef| -> DResult<usize> {
+        match &c.qualifier {
+            Some(q) if q != table => Err(err(
+                codes::BAD_QUALIFIER,
+                format!("unknown qualifier '{q}'; the table is '{table}'"),
+            )),
+            _ => schema.require(&c.name).map_err(|e| attr_err(&e, sel.span)),
+        }
+    };
+    let mut groups: Vec<usize> = Vec::new();
+    for g in &sel.group_by {
+        match col(g) {
+            Ok(ci) if !groups.contains(&ci) => groups.push(ci),
+            Ok(_) => {}
+            Err(d) => ctx.emit(d)?,
+        }
+    }
+    let grouped = sel.has_aggregates() || !sel.group_by.is_empty();
+    // The output columns; `complete` drops to false when a problem leaves
+    // a column's type unknown. `cols` holds source columns, or positions
+    // in the group kernel's layout when `grouped`.
+    let mut defs: Vec<ColumnDef> = Vec::new();
+    let mut cols: Vec<usize> = Vec::new();
+    let mut aggs: Vec<AggSpec> = Vec::new();
+    let mut complete = true;
+    let items = match &sel.targets {
+        SelectTargets::Star => {
+            if !sel.group_by.is_empty() {
+                ctx.emit(err(
+                    codes::BAD_AGGREGATE,
+                    "'select *' cannot be grouped".into(),
+                ))?;
+            }
+            defs = schema.columns().to_vec();
+            &[][..]
+        }
+        SelectTargets::Items(items) => &items[..],
+    };
+    for (i, item) in items.iter().enumerate() {
+        match &item.expr {
+            SelectExpr::Col(c) => {
+                let ci = match col(c) {
+                    Ok(ci) => ci,
+                    Err(d) => {
+                        ctx.emit(d)?;
+                        complete = false;
+                        continue;
+                    }
+                };
+                let gi = groups.iter().position(|&g| g == ci);
+                if grouped && gi.is_none() {
+                    ctx.emit(err(
+                        codes::BAD_AGGREGATE,
+                        format!(
+                            "column '{}' must appear in 'group by' or inside an aggregate",
+                            c.name
+                        ),
+                    ))?;
+                }
+                let name = item.alias.clone().unwrap_or_else(|| c.name.clone());
+                defs.push(ColumnDef::new(name, schema.column(ci).dtype));
+                cols.push(if grouped { gi.unwrap_or(0) } else { ci });
+            }
+            SelectExpr::Agg(a) => {
+                let mut arg = None;
+                if let Some(c) = a.arg() {
+                    match col(c) {
+                        Ok(ci) => {
+                            let numeric = matches!(a, ast::AggCall::Sum(_) | ast::AggCall::Avg(_));
+                            if numeric && !schema.column(ci).dtype.is_numeric() {
+                                ctx.emit(err(
+                                    codes::BAD_AGGREGATE,
+                                    format!("aggregate over non-numeric column '{}'", c.name),
+                                ))?;
+                            }
+                            arg = Some(ci);
+                        }
+                        Err(d) => ctx.emit(d)?,
+                    }
+                }
+                let dt = arg.map(|ci| schema.column(ci).dtype);
+                let ci = arg.unwrap_or_default();
+                let (func, dtype) = match a {
+                    ast::AggCall::CountStar => (AggFn::CountStar, Some(DataType::Integer)),
+                    ast::AggCall::Count(_) => (AggFn::Count(ci), Some(DataType::Integer)),
+                    ast::AggCall::Avg(_) => (AggFn::Avg(ci), Some(DataType::Float)),
+                    ast::AggCall::Sum(_) => (AggFn::Sum(ci), dt),
+                    ast::AggCall::Min(_) => (AggFn::Min(ci), dt),
+                    ast::AggCall::Max(_) => (AggFn::Max(ci), dt),
+                };
+                let Some(dtype) = dtype else {
+                    complete = false;
+                    continue;
+                };
+                let name = item.alias.clone().unwrap_or_else(|| format!("agg_{i}"));
+                defs.push(ColumnDef::new(name, dtype));
+                cols.push(groups.len() + aggs.len());
+                // The kernel's own name for the column: '#' starts no
+                // identifier, so it cannot collide with a group column.
+                aggs.push(AggSpec::new(func, format!("#{}", aggs.len())));
+            }
+        }
+    }
+    if !complete {
+        return Ok(None);
+    }
+    let schema = TableSchema::new(defs).map_err(|e| Diagnostic::from_error(&e, sel.span))?;
+    let mut order_by = Vec::new();
+    for k in &sel.order_by {
+        match schema.index_of(&k.col.name) {
+            Some(col) => order_by.push(SortKey { col, desc: k.desc }),
+            None => ctx.emit(err(
+                codes::UNKNOWN_ATTR,
+                format!(
+                    "'order by' column '{}' is not in the select output",
+                    k.col.name
+                ),
+            ))?,
+        }
+    }
+    let shape = match &sel.targets {
+        SelectTargets::Star => TableShape::Star,
+        SelectTargets::Items(_) if grouped => TableShape::Grouped {
+            groups,
+            aggs,
+            order: cols,
+        },
+        SelectTargets::Items(_) => TableShape::Columns(cols),
+    };
+    Ok(Some(TableSelect {
+        table: table.clone(),
+        filter: sel.where_clause.clone(),
+        shape,
+        schema,
+        distinct: sel.distinct,
+        order_by,
+        top: sel.top.map(|n| n as usize),
+    }))
 }
 
 /// Splits a composition into its `or` branches, each an and-flattened list

@@ -12,9 +12,12 @@ use std::sync::Arc;
 use graql_graph::{Graph, GraphStats, Subgraph};
 use graql_parser::ast::{self, Stmt};
 use graql_table::{Table, TableSchema};
+use graql_types::obs::{obs_record, obs_start, Stage};
 use graql_types::{GraqlError, ProfileReport, QueryGuard, QueryProfile, Result, Value};
 use rustc_hash::FxHashMap;
 
+use crate::analysis::Rewritten;
+use crate::analyze::resolve::{resolve_select, Resolved, TableShape};
 use crate::catalog::{Catalog, CatalogStats, EdgeDef, VertexDef};
 use crate::cond::Params;
 use crate::ddl::{build_graph, Storage};
@@ -449,42 +452,36 @@ impl Database {
         };
         self.ensure_graph()?;
         self.refresh_catstats();
-        let ctx = self.exec_ctx(guard)?;
         let rewritten = crate::analysis::rewrite_select(sel);
-        Self::explain_plan(&ctx, self.catstats.as_deref(), sel, rewritten.as_ref())
+        let plan = resolve_select(&self.catalog, rewritten.as_ref().map_or(sel, |r| &r.sel))?;
+        let ctx = self.exec_ctx(guard)?;
+        Self::explain_plan(&ctx, self.catstats.as_deref(), rewritten.as_ref(), &plan)
     }
 
     /// The shared plan rendering used by `explain` and `profile`: the
-    /// statement after rewriting (`rewritten`, the outcome of
-    /// [`crate::analysis::rewrite_select`] on `sel`), annotated with
-    /// per-operator cardinality estimates when catalog statistics are
-    /// available.
+    /// rewrites applied ([`crate::analysis::rewrite_select`]) and the
+    /// resolved statement, annotated with per-operator cardinality
+    /// estimates when catalog statistics are available.
     fn explain_plan(
         ctx: &ExecCtx<'_>,
         stats: Option<&CatalogStats>,
-        sel: &ast::SelectStmt,
-        rewritten: Option<&crate::analysis::Rewritten>,
+        rewritten: Option<&Rewritten>,
+        plan: &Resolved,
     ) -> Result<String> {
         let mut out = String::new();
-        let sel = match rewritten {
-            Some(r) => {
-                out.push_str(&format!("rewrites applied: {}\n", r.passes.join(", ")));
-                &r.sel
+        if let Some(r) = rewritten {
+            out.push_str(&format!("rewrites applied: {}\n", r.passes.join(", ")));
+        }
+        match plan {
+            Resolved::Graph(g) => {
+                out.push_str(&crate::exec::explain::explain_graph_select(ctx, stats, g)?);
             }
-            None => sel,
-        };
-        match &sel.source {
-            ast::SelectSource::Graph(_) => {
-                out.push_str(&crate::exec::explain::explain_graph_select(
-                    ctx, stats, sel,
-                )?);
-            }
-            ast::SelectSource::Table(t) => {
+            Resolved::Table(t) => {
                 let est = stats
-                    .and_then(|s| s.tables.get(t))
+                    .and_then(|s| s.tables.get(&t.table))
                     .map(|c| &**c)
                     .map(|card| {
-                        let sel_factor = sel.where_clause.as_ref().map_or(1.0, |w| {
+                        let sel_factor = t.filter.as_ref().map_or(1.0, |w| {
                             crate::analysis::cost::expr_selectivity(Some(card), w)
                         });
                         card.rows as f64 * sel_factor
@@ -492,18 +489,15 @@ impl Database {
                     .map(|rows| format!(" (est ~{} rows)", crate::analysis::cost::fmt_rows(rows)))
                     .unwrap_or_default();
                 out.push_str(&format!(
-                    "table scan on {t}{}{}{}{est}\n",
-                    if sel.where_clause.is_some() {
-                        " + filter"
-                    } else {
-                        ""
-                    },
-                    if sel.has_aggregates() || !sel.group_by.is_empty() {
+                    "table scan on {}{}{}{}{est}\n",
+                    t.table,
+                    if t.filter.is_some() { " + filter" } else { "" },
+                    if let TableShape::Grouped { .. } = t.shape {
                         " + aggregate"
                     } else {
                         ""
                     },
-                    if !sel.order_by.is_empty() {
+                    if !t.order_by.is_empty() {
                         " + sort"
                     } else {
                         ""
@@ -518,31 +512,37 @@ impl Database {
     /// [`ProfileReport`] (plan text + stage timings + guard accounting).
     /// The query result itself is dropped — `profile` never captures.
     ///
-    /// The plan is rendered first with an *unarmed* context so explain's
-    /// own set-level execution does not pollute the measured stages; both
-    /// passes run under the same `guard`, so budgets cover their total.
+    /// The statement is resolved once, for the run and the plan text. A
+    /// graph select's `compile` stage spans resolving and lowering. The
+    /// plan is rendered after the report is sealed, with an *unarmed*
+    /// context, so explain's own set-level execution pollutes neither the
+    /// measured stages nor the total; both run under the same `guard`, so
+    /// budgets cover their sum.
     pub fn profile_select_guarded(
         &self,
         sel: &ast::SelectStmt,
         guard: &QueryGuard,
     ) -> Result<ProfileReport> {
         let rewritten = crate::analysis::rewrite_select(sel);
-        let plan = {
-            let ctx = self.exec_ctx(guard)?;
-            Self::explain_plan(&ctx, self.catstats.as_deref(), sel, rewritten.as_ref())?
-        };
-        let run_sel = rewritten.as_ref().map(|r| &r.sel).unwrap_or(sel);
-        let rows_before = guard.rows();
-        let bytes_before = guard.bytes();
+        let (rows_before, bytes_before) = (guard.rows(), guard.bytes());
         let profile = QueryProfile::new();
-        self.execute_select_prepared(run_sel, guard, Some(&profile))?;
-        Ok(ProfileReport::seal(
+        let span = obs_start(Some(&profile));
+        let plan = resolve_select(&self.catalog, rewritten.as_ref().map_or(sel, |r| &r.sel))?;
+        if let Resolved::Graph(_) = plan {
+            obs_record(Some(&profile), Stage::Compile, span);
+        }
+        self.execute_resolved(plan.clone(), guard, Some(&profile))?;
+        let mut report = ProfileReport::seal(
             sel.to_string(),
-            plan,
+            String::new(),
             &profile,
             guard.rows() - rows_before,
             guard.bytes() - bytes_before,
-        ))
+        );
+        let ctx = self.exec_ctx(guard)?;
+        report.plan =
+            Self::explain_plan(&ctx, self.catstats.as_deref(), rewritten.as_ref(), &plan)?;
+        Ok(report)
     }
 
     /// An execution context over the current state (graph must already be
@@ -552,8 +552,8 @@ impl Database {
             .graph
             .as_ref()
             .ok_or_else(|| GraqlError::exec("internal: graph not built before select"))?;
+        crate::compile::check_views(&self.catalog, graph)?;
         Ok(ExecCtx {
-            catalog: &self.catalog,
             graph,
             storage: &self.storage,
             result_tables: &self.result_tables,
@@ -601,11 +601,28 @@ impl Database {
         guard: &QueryGuard,
         obs: Option<&QueryProfile>,
     ) -> Result<QueryOutput> {
+        let span = obs_start(obs);
+        let plan = resolve_select(&self.catalog, sel)?;
+        // A graph select's `compile` stage spans resolving and lowering.
+        if let Resolved::Graph(_) = plan {
+            obs_record(obs, Stage::Compile, span);
+        }
+        self.execute_resolved(plan, guard, obs)
+    }
+
+    /// Runs a resolved select against the current (already built) graph
+    /// and storage.
+    fn execute_resolved(
+        &self,
+        plan: Resolved,
+        guard: &QueryGuard,
+        obs: Option<&QueryProfile>,
+    ) -> Result<QueryOutput> {
         let mut ctx = self.exec_ctx(guard)?;
         ctx.obs = obs;
-        match &sel.source {
-            ast::SelectSource::Graph(_) => execute_graph_select(&ctx, sel),
-            ast::SelectSource::Table(_) => Ok(QueryOutput::Table(execute_table_select(&ctx, sel)?)),
+        match plan {
+            Resolved::Graph(g) => execute_graph_select(&ctx, g),
+            Resolved::Table(t) => Ok(QueryOutput::Table(execute_table_select(&ctx, &t)?)),
         }
     }
 
@@ -638,16 +655,10 @@ impl Database {
             }
             (None, QueryOutput::Table(t)) => Ok(StmtOutput::Table(t)),
             (None, QueryOutput::Subgraph(s)) => Ok(StmtOutput::Subgraph(s)),
-            (Some(ast::IntoClause::Table(_)), QueryOutput::Subgraph(_)) => {
-                Err(GraqlError::type_error(
-                    "'select *' over a graph captures 'into subgraph', not 'into table'",
-                ))
-            }
-            (Some(ast::IntoClause::Subgraph(_)), QueryOutput::Table(_)) => {
-                Err(GraqlError::type_error(
-                    "attribute/table selections capture 'into table', not 'into subgraph'",
-                ))
-            }
+            // The resolver decides the output kind from the `into` clause.
+            (Some(_), _) => Err(GraqlError::exec(
+                "internal: a select's output does not match its 'into' clause",
+            )),
         }
     }
 }

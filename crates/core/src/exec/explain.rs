@@ -6,11 +6,11 @@
 
 use std::fmt::Write as _;
 
-use graql_parser::ast::{self, Dir};
+use graql_parser::ast::Dir;
 use graql_types::Result;
 
 use crate::analysis::cost;
-use crate::analyze::resolve::resolve_select;
+use crate::analyze::resolve::GraphSelect;
 use crate::catalog::CatalogStats;
 use crate::compile::{CLink, CPath, CVStep};
 use crate::exec::cand::cand_count;
@@ -22,23 +22,22 @@ use crate::plan::choose_order;
 /// [`cost::estimate_paths`]'s treatment).
 const GROUP_DEPTH_CAP: u32 = 8;
 
-/// Renders the execution plan of a graph select.
+/// Renders the execution plan of a resolved graph select.
 pub fn explain_graph_select(
     ctx: &ExecCtx<'_>,
     stats: Option<&CatalogStats>,
-    sel: &ast::SelectStmt,
+    resolved: &GraphSelect,
 ) -> Result<String> {
     // Estimates need the graph sections of the statistics store.
     let stats = stats.filter(|s| s.graph_complete);
     let mut out = String::new();
-    let branches = resolve_select(ctx.catalog, sel)?.branches;
-    let n_branches = branches.len();
-    for (bi, q) in branches.into_iter().enumerate() {
+    let n_branches = resolved.branches.len();
+    for (bi, q) in resolved.branches.iter().enumerate() {
         if n_branches > 1 {
             let _ = writeln!(out, "or-branch {bi}:");
         }
         // Set-level run (no bindings) gives the culled candidate counts.
-        let qr = run_query(ctx, q, false)?;
+        let qr = run_query(ctx, q.clone(), false)?;
         for (pi, p) in qr.cquery.paths.iter().enumerate() {
             let _ = writeln!(out, "  path {pi}:");
             let mut flow = stats.map(|st| vstep_estimate(ctx, st, &p.vsteps[0]));

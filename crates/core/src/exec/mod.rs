@@ -16,16 +16,14 @@ use graql_table::Table;
 use graql_types::{GraqlError, QueryGuard, QueryProfile, Result};
 use rustc_hash::FxHashMap;
 
-use crate::catalog::Catalog;
 use crate::cond::Params;
 use crate::ddl::Storage;
 use crate::plan::ExecConfig;
 
-/// Everything a query needs to execute, borrowed from the database.
+/// Everything a resolved query needs to execute, borrowed from the
+/// database. There is no catalog: names were resolved before execution
+/// ([`crate::analyze::resolve`]).
 pub struct ExecCtx<'a> {
-    /// The catalog `graph` was built from: graph selects resolve against
-    /// it ([`crate::analyze::resolve`]).
-    pub catalog: &'a Catalog,
     pub graph: &'a Graph,
     pub storage: &'a Storage,
     pub result_tables: &'a FxHashMap<String, std::sync::Arc<Table>>,

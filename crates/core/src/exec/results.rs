@@ -2,12 +2,11 @@
 //! subgraphs (Fig. 11), and the `select … from graph` driver.
 
 use graql_graph::Subgraph;
-use graql_parser::ast::{self, SelectTargets};
 use graql_table::{Table, TableSchema};
 use graql_types::obs::{obs_record, obs_record_rows, obs_start, Stage};
 use graql_types::{GraqlError, Result};
 
-use crate::analyze::resolve::resolve_select;
+use crate::analyze::resolve::GraphSelect;
 use crate::compile::{column_of, CQuery, LinkAddr, ProjCol, StepAddr};
 use crate::exec::expand::matched_edges;
 use crate::exec::query::{run_query, MultiBinding, QueryRun};
@@ -37,11 +36,8 @@ impl QueryOutput {
     }
 }
 
-/// Executes a graph-sourced select statement.
-pub fn execute_graph_select(ctx: &ExecCtx<'_>, sel: &ast::SelectStmt) -> Result<QueryOutput> {
-    let span = obs_start(ctx.obs);
-    let resolved = resolve_select(ctx.catalog, sel)?;
-    obs_record(ctx.obs, Stage::Compile, span);
+/// Executes a resolved graph select.
+pub fn execute_graph_select(ctx: &ExecCtx<'_>, resolved: GraphSelect) -> Result<QueryOutput> {
     let schema = match (resolved.to_table, &resolved.schema) {
         (true, None) => return Err(GraqlError::exec("internal: table result without a schema")),
         (_, schema) => schema,
@@ -58,7 +54,7 @@ pub fn execute_graph_select(ctx: &ExecCtx<'_>, sel: &ast::SelectStmt) -> Result<
                 Some(acc) => acc.append(&t)?,
             }
         } else {
-            let s = project_subgraph(ctx, &qr, sel)?;
+            let s = project_subgraph(ctx, &qr)?;
             match &mut subgraph_out {
                 None => subgraph_out = Some(s),
                 Some(acc) => acc.union_with(ctx.graph, &s),
@@ -86,7 +82,7 @@ fn needs_bindings(q: &CQuery) -> bool {
 /// multi-path branches fall back to joined bindings.
 pub fn stream_graph_select(
     ctx: &ExecCtx<'_>,
-    sel: &ast::SelectStmt,
+    resolved: GraphSelect,
     mut f: impl FnMut(&[graql_types::Value]) -> Result<()>,
 ) -> Result<()> {
     let row = |qr: &QueryRun, mb: &MultiBinding| -> Result<Vec<graql_types::Value>> {
@@ -96,7 +92,7 @@ pub fn stream_graph_select(
             .map(|c| value_of(ctx, mb, c))
             .collect()
     };
-    for q in resolve_select(ctx.catalog, sel)?.branches {
+    for q in resolved.branches {
         if q.paths.len() == 1 && !q.paths[0].has_groups() {
             // Candidates + culling, then stream from the enumerator.
             let qr = run_query(ctx, q, false)?;
@@ -187,12 +183,13 @@ fn value_of(ctx: &ExecCtx<'_>, mb: &MultiBinding, col: &ProjCol) -> Result<graql
 // Subgraph projection
 // ---------------------------------------------------------------------------
 
-fn project_subgraph(ctx: &ExecCtx<'_>, qr: &QueryRun, sel: &ast::SelectStmt) -> Result<Subgraph> {
+fn project_subgraph(ctx: &ExecCtx<'_>, qr: &QueryRun) -> Result<Subgraph> {
     let q = &qr.cquery;
     let span = obs_start(ctx.obs);
     let mut out = Subgraph::new();
-    match (&sel.targets, &qr.bindings) {
-        (SelectTargets::Star, Some(bindings)) => {
+    // A subgraph select projects no columns exactly when it is `select *`.
+    match (q.proj.is_empty(), &qr.bindings) {
+        (true, Some(bindings)) => {
             // Exact: mark everything each binding touches.
             let mut ticker = ctx.guard.ticker();
             for mb in bindings {
@@ -207,7 +204,7 @@ fn project_subgraph(ctx: &ExecCtx<'_>, qr: &QueryRun, sel: &ast::SelectStmt) -> 
                 }
             }
         }
-        (SelectTargets::Star, None) => {
+        (true, None) => {
             // Set-level: culled candidates + matched edges per link.
             for (pi, p) in q.paths.iter().enumerate() {
                 for (vi, cand) in qr.cands[pi].iter().enumerate() {
@@ -243,7 +240,7 @@ fn project_subgraph(ctx: &ExecCtx<'_>, qr: &QueryRun, sel: &ast::SelectStmt) -> 
                 }
             }
         }
-        (SelectTargets::Items(_), bindings) => {
+        (false, bindings) => {
             // Selected steps' vertices (Fig. 11's resultsBE) and any
             // labeled edge steps' edges.
             let mut addrs: Vec<StepAddr> = Vec::new();

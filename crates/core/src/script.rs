@@ -13,6 +13,8 @@ use graql_parser::ast::{self, Stmt};
 use graql_types::{GraqlError, Result};
 use rustc_hash::FxHashSet;
 
+use crate::analyze::resolve::{resolve_select, GraphSelect, Resolved, TableSelect};
+use crate::catalog::Catalog;
 use crate::database::{Database, StmtOutput};
 
 /// Execution trace of a scheduled script run.
@@ -184,10 +186,11 @@ pub fn run_script_pipelined(db: &mut Database, text: &str) -> Result<Vec<StmtOut
                 unreachable!("can_fuse only accepts select pairs")
             };
             db.graph()?;
+            let (producer, consumer) = resolve_fused(db.catalog(), p, c)?;
             let guard = graql_types::QueryGuard::new(db.config().budget);
             let table = {
                 let ctx = db.exec_ctx(&guard)?;
-                crate::exec::pipeline::execute_fused(&ctx, p, c)?
+                crate::exec::pipeline::execute_fused(&ctx, producer, &consumer)?
             };
             outputs.push(StmtOutput::Pipelined);
             outputs.push(db.register_result(c, crate::exec::results::QueryOutput::Table(table))?);
@@ -198,6 +201,35 @@ pub fn run_script_pipelined(db: &mut Database, text: &str) -> Result<Vec<StmtOut
         }
     }
     Ok(outputs)
+}
+
+/// Resolves a fusable pair: the producer against `catalog`, the consumer
+/// against `catalog` plus the producer's output schema (the intermediate
+/// never materializes, so it is registered nowhere else).
+pub(crate) fn resolve_fused(
+    catalog: &Catalog,
+    producer: &ast::SelectStmt,
+    consumer: &ast::SelectStmt,
+) -> Result<(GraphSelect, TableSelect)> {
+    let (Resolved::Graph(p), Some(ast::IntoClause::Table(t))) =
+        (resolve_select(catalog, producer)?, &producer.into)
+    else {
+        return Err(GraqlError::exec(
+            "internal: fused producer must be a graph select into a table",
+        ));
+    };
+    let schema = p
+        .schema
+        .clone()
+        .ok_or_else(|| GraqlError::exec("internal: table result without a schema"))?;
+    let mut catalog = catalog.clone();
+    catalog.add_result_table(t, schema)?;
+    match resolve_select(&catalog, consumer)? {
+        Resolved::Table(c) => Ok((p, c)),
+        Resolved::Graph(_) => Err(GraqlError::exec(
+            "internal: fused consumer must be a table select",
+        )),
+    }
 }
 
 /// The `into table` name a statement produces, if any.

@@ -154,7 +154,6 @@ pub fn comm_profile(db: &Database, path: &PathQuery, nodes: usize) -> Result<Clu
     // Seeds are rejected above, so no prior result is ever consulted.
     let (no_tables, no_subgraphs) = Default::default();
     let ctx = ExecCtx {
-        catalog: db.catalog(),
         graph,
         storage,
         result_tables: &no_tables,

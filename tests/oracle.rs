@@ -251,3 +251,54 @@ fn fault_armed_run_is_byte_identical_across_all_paths() {
         );
     }
 }
+
+/// The schema the resolver infers for a table select — the one the
+/// analyzer registers for later statements — is the schema execution
+/// produces, names and types, over the relational corpus and Table 1.
+#[test]
+fn resolved_table_schemas_match_executed_schemas() {
+    use graql::core::analyze::{analyze_script, resolve};
+    use graql::parser::ast::{IntoClause, SelectSource, Stmt};
+
+    let mut db = graql::bsbm::build_database(scale()).unwrap();
+    db.graph().unwrap();
+    let mut gen = ScriptGen::new(env_u64("GRAQL_ORACLE_SEED", 1));
+    let mut scripts: Vec<String> = (0..env_u64("GRAQL_ORACLE_SCRIPTS", 200))
+        .map(|_| gen.next_script())
+        .collect();
+    scripts.push(
+        "select top 3 vendor as v, count(*) as n, avg(price) as mean, \
+           min(price) as lo, max(price) as hi, sum(deliveryDays) as days \
+           from table Offers where price > 100 \
+           group by vendor order by n desc, v asc\n\
+         select distinct country from table Vendors order by country"
+            .to_string(),
+    );
+    let mut checked = 0;
+    for script in &scripts {
+        for stmt in graql::parser::parse(script).unwrap().statements {
+            let Stmt::Select(mut sel) = stmt else {
+                continue;
+            };
+            if !matches!(sel.source, SelectSource::Table(_)) {
+                continue;
+            }
+            let resolve::Resolved::Table(plan) =
+                resolve::resolve_select(db.catalog(), &sel).unwrap()
+            else {
+                panic!("a table source resolves to a table select: {sel}")
+            };
+            let executed = db.execute_select(&sel).unwrap();
+            let executed = executed.as_table().unwrap().schema();
+            assert_eq!(&plan.schema, executed, "{sel}");
+            sel.into = Some(IntoClause::Table("SchemaProbe".into()));
+            let script = graql::parser::ast::Script {
+                statements: vec![Stmt::Select(sel)],
+            };
+            let registered = analyze_script(db.catalog(), &script).unwrap();
+            assert_eq!(registered.any_table("SchemaProbe"), Some(executed));
+            checked += 1;
+        }
+    }
+    assert!(checked > scripts.len(), "every script has a table select");
+}
