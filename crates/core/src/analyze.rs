@@ -192,9 +192,15 @@ fn check_statement(work: &mut Catalog, stmt: &Stmt, ctx: &mut Ctx) -> DResult<()
                     cv.span,
                 ))?;
             }
-            for k in &cv.key {
+            for (i, k) in cv.key.iter().enumerate() {
                 if let Err(e) = schema.require(k) {
                     ctx.emit(attr_err(&e, cv.span))?;
+                } else if cv.key[..i].contains(k) {
+                    ctx.emit(Diagnostic::error(
+                        codes::DUPLICATE,
+                        format!("vertex '{}' repeats key column '{k}'", cv.name),
+                        cv.span,
+                    ))?;
                 }
             }
             if let Some(w) = &cv.where_clause {

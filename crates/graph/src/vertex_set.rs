@@ -84,7 +84,7 @@ impl VertexSet {
         let to_src = |i: u32| selected[i as usize];
         let keys = {
             let rep_rows: Vec<u32> = reps.clone();
-            let projected = graql_table::ops::project(&view, &key_cols);
+            let projected = graql_table::ops::project(&view, &key_cols)?;
             projected.gather(&rep_rows)
         };
         let one_to_one = groups.iter().all(|g| g.len() == 1);
@@ -213,6 +213,13 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert_eq!(v.lookup(&[Value::str("m1")]), None);
         assert_eq!(v.lookup(&[Value::str("m2")]), Some(0));
+    }
+
+    #[test]
+    fn repeated_key_column_is_an_error_not_a_panic() {
+        let t = producers();
+        let r = VertexSet::build("V", "Producers", &t, vec![0, 0], None);
+        assert!(matches!(r, Err(GraqlError::Name(_))), "{r:?}");
     }
 
     #[test]

@@ -1051,7 +1051,7 @@ mod tests {
                 json: "{\"statement\":\"select …\"}".into(),
             },
             Msg::MetricsReport {
-                text: "# TYPE graql_queries_total counter\n".into(),
+                text: "graql_queries_total{outcome=\"ok\"} 1\n".into(),
             },
             Msg::ReplSubscribe { from_lsn: 17 },
             Msg::ReplAck { lsn: 16 },

@@ -35,6 +35,7 @@ use std::time::{Duration, Instant};
 
 use graql_core::{ReplRole, Role, Server, Session};
 use graql_types::failpoints::Faults;
+use graql_types::obs::{write_exposition, Family, Source};
 use graql_types::{
     GraqlError, ProfileReport, QueryBudget, QueryGuard, QueryOutcome, QueryProfile, Result,
 };
@@ -381,173 +382,80 @@ impl NetStats {
         out
     }
 
-    /// Renders the wire counters as Prometheus exposition lines, appended
-    /// to the engine registry's rendering by [`metrics_text`].
-    pub fn render_prometheus(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP graql_net_{name} {help}");
-            let _ = writeln!(out, "# TYPE graql_net_{name} counter");
-            let _ = writeln!(out, "graql_net_{name} {v}");
-        };
-        let gauge = |out: &mut String, name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP graql_net_{name} {help}");
-            let _ = writeln!(out, "# TYPE graql_net_{name} gauge");
-            let _ = writeln!(out, "graql_net_{name} {v}");
-        };
-        let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        gauge(
-            &mut out,
-            "connections_active",
-            "Currently open client connections.",
-            c(&self.connections_active),
-        );
-        counter(
-            &mut out,
-            "connections_total",
-            "Client connections accepted since start.",
-            c(&self.connections_total),
-        );
-        counter(
-            &mut out,
-            "connections_refused_total",
-            "Connections refused at accept time (overload).",
-            c(&self.connections_refused),
-        );
-        counter(
-            &mut out,
-            "messages_in_total",
-            "Wire messages received.",
-            c(&self.msgs_in),
-        );
-        counter(
-            &mut out,
-            "messages_out_total",
-            "Wire messages sent.",
-            c(&self.msgs_out),
-        );
-        counter(
-            &mut out,
-            "bytes_in_total",
-            "Payload bytes received (including frame headers).",
-            c(&self.bytes_in),
-        );
-        counter(
-            &mut out,
-            "bytes_out_total",
-            "Payload bytes sent (including frame headers).",
-            c(&self.bytes_out),
-        );
-        counter(
-            &mut out,
-            "requests_total",
-            "Requests served across all connections.",
-            c(&self.requests),
-        );
-        counter(
-            &mut out,
-            "queries_shed_total",
-            "Requests shed at the admission gate.",
-            c(&self.queries_shed),
-        );
-        counter(
-            &mut out,
-            "queries_cancelled_total",
-            "Requests killed by a wire Cancel or a vanished client.",
-            c(&self.queries_cancelled),
-        );
-        counter(
-            &mut out,
-            "queries_deadline_killed_total",
-            "Requests killed by the per-request deadline.",
-            c(&self.queries_deadline_killed),
-        );
-        counter(
-            &mut out,
-            "queries_budget_killed_total",
-            "Requests killed by a row/byte budget.",
-            c(&self.queries_budget_killed),
-        );
-        gauge(
-            &mut out,
-            "query_peak_bytes",
-            "Largest byte footprint any single query accounted.",
-            c(&self.query_peak_bytes),
-        );
-        counter(
-            &mut out,
-            "retries_total",
-            "Outbound requests re-sent after a retryable error.",
-            c(&self.retries),
-        );
-        counter(
-            &mut out,
-            "reconnects_total",
-            "Outbound connections re-established.",
-            c(&self.reconnects),
-        );
-        counter(
-            &mut out,
-            "failovers_total",
-            "Outbound reconnects that switched endpoints.",
-            c(&self.failovers),
-        );
-        let repl_counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP graql_repl_{name} {help}");
-            let _ = writeln!(out, "# TYPE graql_repl_{name} counter");
-            let _ = writeln!(out, "graql_repl_{name} {v}");
-        };
-        let repl_gauge = |out: &mut String, name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP graql_repl_{name} {help}");
-            let _ = writeln!(out, "# TYPE graql_repl_{name} gauge");
-            let _ = writeln!(out, "graql_repl_{name} {v}");
-        };
-        repl_gauge(
-            &mut out,
-            "replicas_connected",
-            "Replicas currently subscribed to this node's WAL stream.",
-            c(&self.repl_replicas_connected),
-        );
-        repl_counter(
-            &mut out,
-            "batches_shipped_total",
-            "Fsynced WAL batches shipped to replicas.",
-            c(&self.repl_batches_shipped),
-        );
-        repl_counter(
-            &mut out,
-            "records_shipped_total",
-            "WAL records shipped to replicas.",
-            c(&self.repl_records_shipped),
-        );
-        repl_counter(
-            &mut out,
-            "snapshot_chunks_total",
-            "Snapshot chunks sent during replica initial sync.",
-            c(&self.repl_snapshot_chunks),
-        );
-        repl_counter(
-            &mut out,
-            "acks_total",
-            "Replication acks received from replicas.",
-            c(&self.repl_acks),
-        );
-        repl_counter(
-            &mut out,
-            "heartbeats_total",
-            "Replication heartbeats sent on idle streams.",
-            c(&self.repl_heartbeats),
-        );
-        let (max_lag, _) = self.repl_lag_snapshot();
-        repl_gauge(
-            &mut out,
-            "max_lag_records",
-            "Largest per-replica lag in WAL records.",
-            max_lag,
-        );
-        out
-    }
+    /// The `graql_net_*` and `graql_repl_*` families, in exposition order.
+    /// Laid out by hand as a table: one entry per family.
+    #[rustfmt::skip]
+    const FAMILIES: &'static [Family<NetStats>] = &[
+        Family { name: "graql_net_connections_active",
+                 help: "Currently open client connections.",
+                 source: Source::Gauge(|s| s.connections_active.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_connections_total",
+                 help: "Client connections accepted since start.",
+                 source: Source::Counter(|s| s.connections_total.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_connections_refused_total",
+                 help: "Connections refused at accept time (overload).",
+                 source: Source::Counter(|s| s.connections_refused.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_messages_in_total",
+                 help: "Wire messages received.",
+                 source: Source::Counter(|s| s.msgs_in.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_messages_out_total",
+                 help: "Wire messages sent.",
+                 source: Source::Counter(|s| s.msgs_out.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_bytes_in_total",
+                 help: "Payload bytes received (including frame headers).",
+                 source: Source::Counter(|s| s.bytes_in.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_bytes_out_total",
+                 help: "Payload bytes sent (including frame headers).",
+                 source: Source::Counter(|s| s.bytes_out.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_requests_total",
+                 help: "Requests served across all connections.",
+                 source: Source::Counter(|s| s.requests.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_queries_shed_total",
+                 help: "Requests shed at the admission gate.",
+                 source: Source::Counter(|s| s.queries_shed.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_queries_cancelled_total",
+                 help: "Requests killed by a wire Cancel or a vanished client.",
+                 source: Source::Counter(|s| s.queries_cancelled.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_queries_deadline_killed_total",
+                 help: "Requests killed by the per-request deadline.",
+                 source: Source::Counter(|s| s.queries_deadline_killed.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_queries_budget_killed_total",
+                 help: "Requests killed by a row/byte budget.",
+                 source: Source::Counter(|s| s.queries_budget_killed.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_query_peak_bytes",
+                 help: "Largest byte footprint any single query accounted.",
+                 source: Source::Gauge(|s| s.query_peak_bytes.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_retries_total",
+                 help: "Outbound requests re-sent after a retryable error.",
+                 source: Source::Counter(|s| s.retries.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_reconnects_total",
+                 help: "Outbound connections re-established.",
+                 source: Source::Counter(|s| s.reconnects.load(Ordering::Relaxed)) },
+        Family { name: "graql_net_failovers_total",
+                 help: "Outbound reconnects that switched endpoints.",
+                 source: Source::Counter(|s| s.failovers.load(Ordering::Relaxed)) },
+        Family { name: "graql_repl_replicas_connected",
+                 help: "Replicas currently subscribed to this node's WAL stream.",
+                 source: Source::Gauge(|s| s.repl_replicas_connected.load(Ordering::Relaxed)) },
+        Family { name: "graql_repl_batches_shipped_total",
+                 help: "Fsynced WAL batches shipped to replicas.",
+                 source: Source::Counter(|s| s.repl_batches_shipped.load(Ordering::Relaxed)) },
+        Family { name: "graql_repl_records_shipped_total",
+                 help: "WAL records shipped to replicas.",
+                 source: Source::Counter(|s| s.repl_records_shipped.load(Ordering::Relaxed)) },
+        Family { name: "graql_repl_snapshot_chunks_total",
+                 help: "Snapshot chunks sent during replica initial sync.",
+                 source: Source::Counter(|s| s.repl_snapshot_chunks.load(Ordering::Relaxed)) },
+        Family { name: "graql_repl_acks_total",
+                 help: "Replication acks received from replicas.",
+                 source: Source::Counter(|s| s.repl_acks.load(Ordering::Relaxed)) },
+        Family { name: "graql_repl_heartbeats_total",
+                 help: "Replication heartbeats sent on idle streams.",
+                 source: Source::Counter(|s| s.repl_heartbeats.load(Ordering::Relaxed)) },
+        Family { name: "graql_repl_max_lag_records",
+                 help: "Largest per-replica lag in WAL records.",
+                 source: Source::Gauge(|s| s.repl_lag_snapshot().0) },
+    ];
 }
 
 /// The full Prometheus exposition body: the engine registry first (query
@@ -555,8 +463,8 @@ impl NetStats {
 /// counters. The same text backs the HTTP endpoint and the
 /// [`Msg::Metrics`] wire request, so both views always agree.
 pub fn metrics_text(server: &Server, stats: &NetStats) -> String {
-    let mut out = server.metrics().render_prometheus();
-    out.push_str(&stats.render_prometheus());
+    let mut out = server.metrics().exposition();
+    write_exposition(&mut out, stats, NetStats::FAMILIES);
     out
 }
 
@@ -1440,6 +1348,9 @@ fn run_submit(job: &Job, server: &Server, stats: &NetStats, slow: Option<&SlowLo
             stats.queries_budget_killed.fetch_add(1, Ordering::Relaxed);
         }
         _ => {}
+    }
+    if let Some(profile) = &profile {
+        server.metrics().observe_profile(profile);
     }
     if let (Some(slow), Some(profile)) = (slow, profile.as_ref()) {
         if elapsed >= slow.threshold {

@@ -67,11 +67,12 @@ impl Default for OpCtx<'_> {
 }
 
 /// Projection: a new table with the chosen columns, in order. The
-/// columns are shared with `t`, not copied.
-pub fn project(t: &Table, cols: &[usize]) -> Table {
-    let schema = t.schema().project(cols);
+/// columns are shared with `t`, not copied. A repeated column is a
+/// [`graql_types::GraqlError::Name`].
+pub fn project(t: &Table, cols: &[usize]) -> Result<Table> {
+    let schema = t.schema().project(cols)?;
     let columns = cols.iter().map(|&c| t.shared_column(c).clone()).collect();
-    Table::from_columns(schema, columns)
+    Ok(Table::from_columns(schema, columns))
 }
 
 /// `top n`: the first `n` rows of `t` (callers sort first, as in
@@ -120,7 +121,7 @@ mod tests {
 
     #[test]
     fn project_selects_columns() {
-        let p = project(&t(), &[1]);
+        let p = project(&t(), &[1]).unwrap();
         assert_eq!(p.n_cols(), 1);
         assert_eq!(p.schema().column(0).name, "b");
         assert_eq!(p.get(3, 0), Value::Int(30));
@@ -129,7 +130,7 @@ mod tests {
     #[test]
     fn project_and_rename_share_columns() {
         let t = t();
-        let p = rename(&project(&t, &[1, 0]), &["y", "x"]).unwrap();
+        let p = rename(&project(&t, &[1, 0]).unwrap(), &["y", "x"]).unwrap();
         assert!(std::sync::Arc::ptr_eq(
             p.shared_column(0),
             t.shared_column(1)

@@ -76,9 +76,9 @@ impl TableSchema {
     }
 
     /// The schema restricted to the given column indices (projection).
-    pub fn project(&self, indices: &[usize]) -> TableSchema {
+    /// A repeated index repeats a column name, a [`GraqlError::Name`].
+    pub fn project(&self, indices: &[usize]) -> Result<TableSchema> {
         TableSchema::new(indices.iter().map(|&i| self.columns[i].clone()).collect())
-            .expect("projection of a valid schema keeps names unique")
     }
 }
 
@@ -111,9 +111,15 @@ mod tests {
             ("b", DataType::Float),
             ("c", DataType::Date),
         ]);
-        let p = s.project(&[2, 0]);
+        let p = s.project(&[2, 0]).unwrap();
         assert_eq!(p.len(), 2);
         assert_eq!(p.column(0).name, "c");
         assert_eq!(p.column(1).name, "a");
+    }
+
+    #[test]
+    fn projection_repeating_a_column_is_a_name_error() {
+        let s = TableSchema::of(&[("id", DataType::Integer), ("name", DataType::Varchar(5))]);
+        assert!(matches!(s.project(&[0, 0]), Err(GraqlError::Name(_))));
     }
 }

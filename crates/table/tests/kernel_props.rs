@@ -180,7 +180,7 @@ fn armed_profile_records_rows_in_and_out_per_stage() {
     let aggs = [ops::AggSpec::new(ops::AggFn::CountStar, "n")];
     let run = |cx: &OpCtx| {
         let filtered = ops::filter(&t, &pred, cx).unwrap();
-        let keys = ops::project(&filtered, &[0]);
+        let keys = ops::project(&filtered, &[0]).unwrap();
         let distinct = ops::distinct(&keys, cx).unwrap();
         let grouped = ops::group_aggregate(&filtered, &[0], &aggs, cx).unwrap();
         let sorted = ops::sort(&grouped, &[ops::SortKey::desc(0)], cx).unwrap();

@@ -111,31 +111,89 @@ impl Histogram {
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
+}
 
-    /// Appends the Prometheus exposition of this histogram (cumulative
-    /// `_bucket` lines, `_sum`, `_count`) under `name`, with `labels`
-    /// injected into every label set (pass `""` or `r#"stage="cull""#`).
-    pub fn render_prometheus(&self, out: &mut String, name: &str, labels: &str) {
-        let sep = if labels.is_empty() { "" } else { "," };
-        let mut cum = 0u64;
-        for i in 0..HIST_BUCKETS {
-            cum += self.counts[i].load(Ordering::Relaxed);
-            let _ = writeln!(
-                out,
-                "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cum}",
-                Self::bound(i)
-            );
-        }
-        cum += self.counts[HIST_BUCKETS].load(Ordering::Relaxed);
-        let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {cum}");
-        if labels.is_empty() {
-            let _ = writeln!(out, "{name}_sum {}", self.sum());
-            let _ = writeln!(out, "{name}_count {cum}");
-        } else {
-            let _ = writeln!(out, "{name}_sum{{{labels}}} {}", self.sum());
-            let _ = writeln!(out, "{name}_count{{{labels}}} {cum}");
+// ---------------------------------------------------------------------------
+// Prometheus exposition
+// ---------------------------------------------------------------------------
+
+/// Where a [`Family`] reads its samples from a metrics object `S`. The
+/// variant fixes the family's `# TYPE`.
+pub enum Source<S> {
+    Counter(fn(&S) -> u64),
+    Gauge(fn(&S) -> u64),
+    Histogram(fn(&S) -> &Histogram),
+    /// One counter per value of the named label.
+    Counters(&'static str, fn(&S) -> Vec<(&'static str, u64)>),
+    /// One histogram per value of the named label; a value whose
+    /// histogram holds no observation is left out.
+    Histograms(&'static str, fn(&S) -> Vec<(&'static str, &Histogram)>),
+}
+
+/// One Prometheus metric family. Each metrics object declares its
+/// families once, in exposition order, as a table that
+/// [`write_exposition`] renders.
+pub struct Family<S> {
+    pub name: &'static str,
+    pub help: &'static str,
+    pub source: Source<S>,
+}
+
+/// Appends the Prometheus text exposition (format 0.0.4) of `families`
+/// read from `metrics`: per family one `# HELP` line, one `# TYPE` line,
+/// then its samples. Durations are exported in nanoseconds — the unit is
+/// in the family name, so scrapers need no conversion guesswork.
+pub fn write_exposition<S>(out: &mut String, metrics: &S, families: &[Family<S>]) {
+    for f in families {
+        let kind = match f.source {
+            Source::Counter(_) | Source::Counters(..) => "counter",
+            Source::Gauge(_) => "gauge",
+            Source::Histogram(_) | Source::Histograms(..) => "histogram",
+        };
+        let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
+        let _ = writeln!(out, "# TYPE {} {kind}", f.name);
+        match f.source {
+            Source::Counter(read) | Source::Gauge(read) => {
+                let _ = writeln!(out, "{} {}", f.name, read(metrics));
+            }
+            Source::Histogram(read) => write_histogram(out, f.name, "", read(metrics)),
+            Source::Counters(label, read) => {
+                for (value, n) in read(metrics) {
+                    let _ = writeln!(out, "{}{{{label}=\"{value}\"}} {n}", f.name);
+                }
+            }
+            Source::Histograms(label, read) => {
+                for (value, hist) in read(metrics) {
+                    if hist.count() > 0 {
+                        let labels = format!("{label}=\"{value}\"");
+                        write_histogram(out, f.name, &labels, hist);
+                    }
+                }
+            }
         }
     }
+}
+
+/// One histogram series: cumulative `_bucket` lines, `_sum` and `_count`,
+/// with `labels` (empty, or e.g. `stage="culling"`) in every label set.
+fn write_histogram(out: &mut String, name: &str, labels: &str, hist: &Histogram) {
+    let sep = if labels.is_empty() { "" } else { "," };
+    let mut cum = 0u64;
+    for (i, count) in hist.counts.iter().enumerate() {
+        cum += count.load(Ordering::Relaxed);
+        let le = match i {
+            HIST_BUCKETS => "+Inf".to_string(),
+            i => Histogram::bound(i).to_string(),
+        };
+        let _ = writeln!(out, "{name}_bucket{{{labels}{sep}le=\"{le}\"}} {cum}");
+    }
+    let labels = if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{{{labels}}}")
+    };
+    let _ = writeln!(out, "{name}_sum{labels} {}", hist.sum());
+    let _ = writeln!(out, "{name}_count{labels} {cum}");
 }
 
 // ---------------------------------------------------------------------------
@@ -589,89 +647,35 @@ impl WalMetrics {
         out
     }
 
-    /// Prometheus exposition of the WAL series (`graql_wal_*`).
-    pub fn render_prometheus(&self, out: &mut String) {
-        let _ = writeln!(
-            out,
-            "# HELP graql_wal_records_appended_total WAL records appended."
-        );
-        let _ = writeln!(out, "# TYPE graql_wal_records_appended_total counter");
-        let _ = writeln!(
-            out,
-            "graql_wal_records_appended_total {}",
-            self.records_appended.get()
-        );
-        let _ = writeln!(
-            out,
-            "# HELP graql_wal_group_commits_total Group commits (fsync batches)."
-        );
-        let _ = writeln!(out, "# TYPE graql_wal_group_commits_total counter");
-        let _ = writeln!(
-            out,
-            "graql_wal_group_commits_total {}",
-            self.group_commits.get()
-        );
-        let _ = writeln!(
-            out,
-            "# HELP graql_wal_max_batch_records Largest records-per-fsync batch seen."
-        );
-        let _ = writeln!(out, "# TYPE graql_wal_max_batch_records gauge");
-        let _ = writeln!(
-            out,
-            "graql_wal_max_batch_records {}",
-            self.max_batch_records()
-        );
-        let _ = writeln!(
-            out,
-            "# HELP graql_wal_fsync_duration_nanoseconds fsync latency per group commit."
-        );
-        let _ = writeln!(out, "# TYPE graql_wal_fsync_duration_nanoseconds histogram");
-        self.fsync_nanos
-            .render_prometheus(out, "graql_wal_fsync_duration_nanoseconds", "");
-        let _ = writeln!(
-            out,
-            "# HELP graql_wal_checkpoints_total Checkpoints folded into the snapshot."
-        );
-        let _ = writeln!(out, "# TYPE graql_wal_checkpoints_total counter");
-        let _ = writeln!(
-            out,
-            "graql_wal_checkpoints_total {}",
-            self.checkpoints.get()
-        );
-        let _ = writeln!(
-            out,
-            "# HELP graql_wal_checkpoint_duration_nanoseconds Checkpoint wall time."
-        );
-        let _ = writeln!(
-            out,
-            "# TYPE graql_wal_checkpoint_duration_nanoseconds histogram"
-        );
-        self.checkpoint_nanos.render_prometheus(
-            out,
-            "graql_wal_checkpoint_duration_nanoseconds",
-            "",
-        );
-        let _ = writeln!(
-            out,
-            "# HELP graql_wal_replayed_records_total Records replayed during recovery."
-        );
-        let _ = writeln!(out, "# TYPE graql_wal_replayed_records_total counter");
-        let _ = writeln!(
-            out,
-            "graql_wal_replayed_records_total {}",
-            self.replayed_records.get()
-        );
-        let _ = writeln!(
-            out,
-            "# HELP graql_wal_torn_bytes_discarded_total Torn-tail bytes discarded during recovery."
-        );
-        let _ = writeln!(out, "# TYPE graql_wal_torn_bytes_discarded_total counter");
-        let _ = writeln!(
-            out,
-            "graql_wal_torn_bytes_discarded_total {}",
-            self.torn_bytes_discarded.get()
-        );
-    }
+    /// The `graql_wal_*` families, in exposition order. Laid out by hand
+    /// as a table: one entry per family.
+    #[rustfmt::skip]
+    const FAMILIES: &'static [Family<WalMetrics>] = &[
+        Family { name: "graql_wal_records_appended_total",
+                 help: "WAL records appended.",
+                 source: Source::Counter(|w| w.records_appended.get()) },
+        Family { name: "graql_wal_group_commits_total",
+                 help: "Group commits (fsync batches).",
+                 source: Source::Counter(|w| w.group_commits.get()) },
+        Family { name: "graql_wal_max_batch_records",
+                 help: "Largest records-per-fsync batch seen.",
+                 source: Source::Gauge(|w| w.max_batch_records()) },
+        Family { name: "graql_wal_fsync_duration_nanoseconds",
+                 help: "fsync latency per group commit.",
+                 source: Source::Histogram(|w| &w.fsync_nanos) },
+        Family { name: "graql_wal_checkpoints_total",
+                 help: "Checkpoints folded into the snapshot.",
+                 source: Source::Counter(|w| w.checkpoints.get()) },
+        Family { name: "graql_wal_checkpoint_duration_nanoseconds",
+                 help: "Checkpoint wall time.",
+                 source: Source::Histogram(|w| &w.checkpoint_nanos) },
+        Family { name: "graql_wal_replayed_records_total",
+                 help: "Records replayed during recovery.",
+                 source: Source::Counter(|w| w.replayed_records.get()) },
+        Family { name: "graql_wal_torn_bytes_discarded_total",
+                 help: "Torn-tail bytes discarded during recovery.",
+                 source: Source::Counter(|w| w.torn_bytes_discarded.get()) },
+    ];
 }
 
 // ---------------------------------------------------------------------------
@@ -723,39 +727,23 @@ impl PlanCacheMetrics {
         )
     }
 
-    /// Prometheus exposition of the plan-cache series
-    /// (`graql_plan_cache_*`).
-    pub fn render_prometheus(&self, out: &mut String) {
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            let _ = writeln!(out, "# HELP graql_plan_cache_{name} {help}");
-            let _ = writeln!(out, "# TYPE graql_plan_cache_{name} counter");
-            let _ = writeln!(out, "graql_plan_cache_{name} {v}");
-        };
-        counter(
-            out,
-            "hits_total",
-            "Plan-cache lookups answered from the cache.",
-            self.hits.get(),
-        );
-        counter(
-            out,
-            "misses_total",
-            "Plan-cache lookups that compiled cold.",
-            self.misses.get(),
-        );
-        counter(
-            out,
-            "evictions_total",
-            "Plan-cache entries dropped (LRU, epoch invalidation, flush).",
-            self.evictions.get(),
-        );
-        let _ = writeln!(
-            out,
-            "# HELP graql_plan_cache_entries Plan-cache entries currently resident."
-        );
-        let _ = writeln!(out, "# TYPE graql_plan_cache_entries gauge");
-        let _ = writeln!(out, "graql_plan_cache_entries {}", self.entries());
-    }
+    /// The `graql_plan_cache_*` families, in exposition order. Laid out by
+    /// hand as a table: one entry per family.
+    #[rustfmt::skip]
+    const FAMILIES: &'static [Family<PlanCacheMetrics>] = &[
+        Family { name: "graql_plan_cache_hits_total",
+                 help: "Plan-cache lookups answered from the cache.",
+                 source: Source::Counter(|pc| pc.hits.get()) },
+        Family { name: "graql_plan_cache_misses_total",
+                 help: "Plan-cache lookups that compiled cold.",
+                 source: Source::Counter(|pc| pc.misses.get()) },
+        Family { name: "graql_plan_cache_evictions_total",
+                 help: "Plan-cache entries dropped (LRU, epoch invalidation, flush).",
+                 source: Source::Counter(|pc| pc.evictions.get()) },
+        Family { name: "graql_plan_cache_entries",
+                 help: "Plan-cache entries currently resident.",
+                 source: Source::Gauge(|pc| pc.entries()) },
+    ];
 }
 
 // ---------------------------------------------------------------------------
@@ -940,85 +928,47 @@ impl MetricsRegistry {
         out
     }
 
-    /// Prometheus text exposition (format 0.0.4) of the registry.
-    /// Durations are exported in nanoseconds — the unit is in the metric
-    /// name, so scrapers need no conversion guesswork.
-    pub fn render_prometheus(&self) -> String {
+    /// The registry's own families, in exposition order. Laid out by hand
+    /// as a table: one entry per family.
+    #[rustfmt::skip]
+    const FAMILIES: &'static [Family<MetricsRegistry>] = &[
+        Family { name: "graql_queries_total",
+                 help: "Queries finished, by outcome.",
+                 source: Source::Counters("outcome", |m| {
+                     QueryOutcome::ALL.iter().map(|&o| (o.name(), m.outcome(o))).collect()
+                 }) },
+        Family { name: "graql_rows_streamed_total",
+                 help: "Result rows streamed to clients.",
+                 source: Source::Counter(|m| m.rows_streamed.get()) },
+        Family { name: "graql_bytes_streamed_total",
+                 help: "Guard-accounted query bytes.",
+                 source: Source::Counter(|m| m.bytes_streamed.get()) },
+        Family { name: "graql_profiles_recorded_total",
+                 help: "Queries run with a profile armed.",
+                 source: Source::Counter(|m| m.profiles_recorded.get()) },
+        Family { name: "graql_slow_queries_total",
+                 help: "Queries over the slow-query threshold.",
+                 source: Source::Counter(|m| m.slow_queries.get()) },
+        Family { name: "graql_query_duration_nanoseconds",
+                 help: "Whole-query latency.",
+                 source: Source::Histogram(|m| &m.query_latency) },
+        Family { name: "graql_stage_duration_nanoseconds",
+                 help: "Per-stage query latency.",
+                 source: Source::Histograms("stage", |m| {
+                     Stage::ALL.iter().map(|&s| (s.name(), m.stage_latency(s))).collect()
+                 }) },
+    ];
+
+    /// The registry's Prometheus exposition: its own families, then the
+    /// plan-cache and WAL families when those sources are attached.
+    pub fn exposition(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "# HELP graql_queries_total Queries finished, by outcome."
-        );
-        let _ = writeln!(out, "# TYPE graql_queries_total counter");
-        for o in QueryOutcome::ALL {
-            let _ = writeln!(
-                out,
-                "graql_queries_total{{outcome=\"{}\"}} {}",
-                o.name(),
-                self.outcome(o)
-            );
+        write_exposition(&mut out, self, Self::FAMILIES);
+        if let Some(pc) = self.plan_cache() {
+            write_exposition(&mut out, &**pc, PlanCacheMetrics::FAMILIES);
         }
-        let _ = writeln!(
-            out,
-            "# HELP graql_rows_streamed_total Result rows streamed to clients."
-        );
-        let _ = writeln!(out, "# TYPE graql_rows_streamed_total counter");
-        let _ = writeln!(
-            out,
-            "graql_rows_streamed_total {}",
-            self.rows_streamed.get()
-        );
-        let _ = writeln!(
-            out,
-            "# HELP graql_bytes_streamed_total Guard-accounted query bytes."
-        );
-        let _ = writeln!(out, "# TYPE graql_bytes_streamed_total counter");
-        let _ = writeln!(
-            out,
-            "graql_bytes_streamed_total {}",
-            self.bytes_streamed.get()
-        );
-        let _ = writeln!(
-            out,
-            "# HELP graql_profiles_recorded_total Queries run with a profile armed."
-        );
-        let _ = writeln!(out, "# TYPE graql_profiles_recorded_total counter");
-        let _ = writeln!(
-            out,
-            "graql_profiles_recorded_total {}",
-            self.profiles_recorded.get()
-        );
-        let _ = writeln!(
-            out,
-            "# HELP graql_slow_queries_total Queries over the slow-query threshold."
-        );
-        let _ = writeln!(out, "# TYPE graql_slow_queries_total counter");
-        let _ = writeln!(out, "graql_slow_queries_total {}", self.slow_queries.get());
-        let _ = writeln!(
-            out,
-            "# HELP graql_query_duration_nanoseconds Whole-query latency."
-        );
-        let _ = writeln!(out, "# TYPE graql_query_duration_nanoseconds histogram");
-        self.query_latency
-            .render_prometheus(&mut out, "graql_query_duration_nanoseconds", "");
-        let _ = writeln!(
-            out,
-            "# HELP graql_stage_duration_nanoseconds Per-stage query latency."
-        );
-        let _ = writeln!(out, "# TYPE graql_stage_duration_nanoseconds histogram");
-        for stage in Stage::ALL {
-            let hist = &self.stage_latency[stage.idx()];
-            if hist.count() == 0 {
-                continue;
-            }
-            let labels = format!("stage=\"{}\"", stage.name());
-            hist.render_prometheus(&mut out, "graql_stage_duration_nanoseconds", &labels);
-        }
-        if let Some(pc) = self.plan_cache.get() {
-            pc.render_prometheus(&mut out);
-        }
-        if let Some(wal) = self.wal.get() {
-            wal.render_prometheus(&mut out);
+        if let Some(wal) = self.wal() {
+            write_exposition(&mut out, &**wal, WalMetrics::FAMILIES);
         }
         out
     }
@@ -1045,7 +995,7 @@ mod tests {
         assert_eq!(h.count(), 3);
         assert_eq!(h.sum(), 500 + 2048 + u64::MAX / 2);
         let mut out = String::new();
-        h.render_prometheus(&mut out, "t", "");
+        write_histogram(&mut out, "t", "", &h);
         assert!(out.contains("t_bucket{le=\"1024\"} 1"));
         assert!(out.contains("t_bucket{le=\"2048\"} 2"));
         assert!(out.contains("t_bucket{le=\"+Inf\"} 3"));
@@ -1057,7 +1007,7 @@ mod tests {
         let h = Histogram::new();
         h.observe(1); // first bucket; all later cumulative counts include it
         let mut out = String::new();
-        h.render_prometheus(&mut out, "t", "x=\"y\"");
+        write_histogram(&mut out, "t", "x=\"y\"", &h);
         assert!(out.contains("t_bucket{x=\"y\",le=\"1024\"} 1"));
         assert!(out.contains("t_bucket{x=\"y\",le=\"+Inf\"} 1"));
         assert!(out.contains("t_sum{x=\"y\"} 1"));
@@ -1136,7 +1086,7 @@ mod tests {
         m.rows_streamed.add(7);
         assert_eq!(m.queries_total(), 4);
         assert_eq!(m.outcome(QueryOutcome::Budget), 1);
-        let text = m.render_prometheus();
+        let text = m.exposition();
         assert!(text.contains("graql_queries_total{outcome=\"ok\"} 2"));
         assert!(text.contains("graql_queries_total{outcome=\"deadline\"} 1"));
         assert!(text.contains("graql_queries_total{outcome=\"budget\"} 1"));
@@ -1150,7 +1100,7 @@ mod tests {
     fn wal_metrics_attach_and_render() {
         let m = MetricsRegistry::new();
         // Unattached: no wal lines anywhere (in-memory servers unchanged).
-        assert!(!m.render_prometheus().contains("graql_wal_"));
+        assert!(!m.exposition().contains("graql_wal_"));
         assert!(!m.render_describe().contains("wal:"));
         let w = Arc::new(WalMetrics::new());
         w.note_group_commit(3, 2_000);
@@ -1160,7 +1110,7 @@ mod tests {
         m.attach_wal(Arc::clone(&w));
         assert_eq!(w.records_appended.get(), 4);
         assert_eq!(w.max_batch_records(), 3);
-        let text = m.render_prometheus();
+        let text = m.exposition();
         assert!(text.contains("graql_wal_records_appended_total 4"));
         assert!(text.contains("graql_wal_group_commits_total 2"));
         assert!(text.contains("graql_wal_max_batch_records 3"));
@@ -1172,7 +1122,7 @@ mod tests {
         // Second attach is ignored.
         m.attach_wal(Arc::new(WalMetrics::new()));
         assert!(m
-            .render_prometheus()
+            .exposition()
             .contains("graql_wal_records_appended_total 4"));
     }
 
@@ -1185,7 +1135,7 @@ mod tests {
         m.observe_query_nanos(5_000);
         assert_eq!(m.profiles_recorded.get(), 1);
         assert_eq!(m.stage_latency(Stage::Sort).count(), 1);
-        let text = m.render_prometheus();
+        let text = m.exposition();
         assert!(text.contains("graql_stage_duration_nanoseconds_bucket{stage=\"sort\""));
         assert!(text.contains("graql_query_duration_nanoseconds_count 1"));
     }

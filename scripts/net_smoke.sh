@@ -159,6 +159,13 @@ if [ "${ok_count:-0}" -lt 1 ]; then
     echo "net_smoke: expected >=1 ok query in the scrape, got ${ok_count:-0}" >&2
     exit 1
 fi
+# Every family is declared once in the shipped binary's exposition.
+dup_families="$(grep '^# TYPE' "$metrics_out" | cut -d' ' -f3 | sort | uniq -d)"
+if [ -n "$dup_families" ]; then
+    echo "net_smoke: families declared twice in the scrape: $dup_families" >&2
+    cat "$metrics_out" >&2
+    exit 1
+fi
 # With --slow-query-ms 0 every query is an offender: the structured log
 # must have at least one JSON line with a profile attached.
 if ! grep -q '"slow_query":{' "$slow_log"; then

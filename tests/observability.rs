@@ -8,7 +8,7 @@
 //! environment, so the counters observed here are the ones an operator's
 //! scraper would see.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, ChildStdin, Command, Stdio};
@@ -147,20 +147,46 @@ fn scrape(addr: &str) -> String {
 }
 
 /// Parses (and structurally validates) Prometheus text exposition into
-/// series → value.
+/// series → value. Each family has exactly one `# HELP` line followed by
+/// one `# TYPE` line, both before its first sample; its samples are not
+/// split by another family's; and every sample is named for its family
+/// (plus `_bucket`/`_sum`/`_count` for a histogram).
 fn parse_prom(body: &str) -> HashMap<String, f64> {
     let mut out = HashMap::new();
+    let mut families = HashSet::new();
+    // The family whose `# HELP` came last, awaiting its `# TYPE`.
+    let mut helped: Option<&str> = None;
+    // The family (name, type) the following samples belong to.
+    let mut current: Option<(&str, &str)> = None;
     for line in body.lines() {
         if line.is_empty() {
             continue;
         }
-        if let Some(rest) = line.strip_prefix("# ") {
-            assert!(
-                rest.starts_with("HELP ") || rest.starts_with("TYPE "),
-                "bad comment line: {line}"
-            );
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let name = rest.split(' ').next().unwrap();
+            assert!(families.insert(name), "family {name} declared twice");
+            assert!(helped.is_none(), "# HELP without # TYPE before: {line}");
+            helped = Some(name);
+            current = None;
             continue;
         }
+        if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest
+                .split_once(' ')
+                .unwrap_or_else(|| panic!("bad type line: {line}"));
+            assert_eq!(
+                helped.take(),
+                Some(name),
+                "# TYPE not after its # HELP: {line}"
+            );
+            assert!(
+                matches!(kind, "counter" | "gauge" | "histogram"),
+                "bad type: {line}"
+            );
+            current = Some((name, kind));
+            continue;
+        }
+        assert!(!line.starts_with('#'), "bad comment line: {line}");
         let (series, value) = line
             .rsplit_once(' ')
             .unwrap_or_else(|| panic!("bad sample line: {line}"));
@@ -174,11 +200,21 @@ fn parse_prom(body: &str) -> HashMap<String, f64> {
         if series.contains('{') {
             assert!(series.ends_with('}'), "unclosed labels: {line}");
         }
+        let (family, kind) =
+            current.unwrap_or_else(|| panic!("sample before its # HELP/# TYPE: {line}"));
+        let name = series.split('{').next().unwrap();
+        let suffix = name.strip_prefix(family);
+        assert!(
+            suffix == Some("")
+                || (kind == "histogram" && matches!(suffix, Some("_bucket" | "_sum" | "_count"))),
+            "sample {name} is not in family {family}: {line}"
+        );
         let v: f64 = value
             .parse()
             .unwrap_or_else(|_| panic!("bad sample value: {line}"));
         out.insert(series.to_string(), v);
     }
+    assert!(helped.is_none(), "trailing # HELP without # TYPE");
     out
 }
 
@@ -543,7 +579,8 @@ fn failpoint_errors_move_error_counter() {
 
 /// With `--slow-query-ms 0` every query is an offender: the log gains one
 /// JSON line per query with the user, latency, outcome and the attached
-/// profile.
+/// profile, and every armed profile reaches the registry's profile counter
+/// and stage histograms.
 #[test]
 fn slow_query_log_attaches_profiles() {
     let dir = write_fixtures("slowlog");
@@ -561,7 +598,22 @@ fn slow_query_log_attaches_profiles() {
     );
     let mut s = connect(&serve.addr);
     s.execute_script(SCHEMA).unwrap();
-    s.execute_script(QUICK).unwrap();
+    const N: u64 = 3;
+    for _ in 0..N {
+        s.execute_script(QUICK).unwrap();
+    }
+    // Every submit ran with a profile armed, and each one is folded into
+    // the registry, not only `profile` statements.
+    let prom = parse_prom(&s.metrics().unwrap());
+    assert!(
+        prom["graql_profiles_recorded_total"] >= N as f64,
+        "profiles_recorded below {N}: {prom:?}"
+    );
+    assert!(
+        prom.iter()
+            .any(|(k, v)| k.starts_with("graql_stage_duration_nanoseconds_count{") && *v > 0.0),
+        "no stage histogram observed: {prom:?}"
+    );
     serve.stop();
 
     let body = std::fs::read_to_string(&log).expect("slow-query log written");
