@@ -1,8 +1,8 @@
 //! Typed dataflow over per-binding domains: the predicate analyzer.
 //!
-//! Every condition a statement carries goes through [`check_predicate`]
-//! once: the simplifier's verdicts ([`super::rewrite::simplify`]) and the
-//! interval analysis of each conjunction ([`conjunction`]) decide all of
+//! Every condition a statement carries goes through `check_predicate`
+//! once: the simplifier's verdicts (`rewrite::simplify`) and the
+//! interval analysis of each conjunction (`conjunction`) decide all of
 //! the predicate diagnostics together. Nullability is folded into the
 //! interval rules — every comparison evaluates to `false` on a null
 //! attribute, so a contradiction between comparisons is a contradiction

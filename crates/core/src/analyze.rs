@@ -13,7 +13,7 @@
 //!
 //! This is the one static-analysis pass over the parsed `ast` (§III-A):
 //! one walk over the statements, one comparison type checker
-//! ([`crate::cond::typecheck`]), and for selects the one resolver
+//! (`cond::typecheck`), and for selects the one resolver
 //! ([`resolve`]) whose plans execution runs. Two reporting modes share it:
 //!
 //! * [`analyze_script`] is **fail-fast**: it stops at the first error and

@@ -212,7 +212,7 @@ impl CQuery {
 
 /// Lowers a resolved query onto the snapshot `ctx` reads: the graph must
 /// have been built from the catalog the query was resolved against
-/// ([`check_views`]).
+/// (`check_views`).
 pub fn lower(ctx: &ExecCtx<'_>, q: &mut CQuery) -> Result<()> {
     for path in &mut q.paths {
         for v in &mut path.vsteps {

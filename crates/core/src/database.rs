@@ -39,8 +39,10 @@ pub enum StmtOutput {
     Table(Table),
     /// A select produced a subgraph.
     Subgraph(Subgraph),
-    /// The statement was fused into the next one (pipelined execution,
-    /// §III-B1): its intermediate result was never materialized.
+    /// Never produced: every script runs statement by statement. Kept
+    /// only because the end-to-end benchmark (`benchmark/`) matches this
+    /// enum exhaustively; the benchmark change of ROADMAP item 12 deletes
+    /// it.
     Pipelined,
     /// `profile <select>` ran: the measured stage report (the result
     /// itself is dropped — profile never captures).
@@ -294,9 +296,8 @@ impl Database {
         diags
     }
 
-    /// Parses and executes a full script sequentially, returning one
-    /// output per statement. (See [`crate::script`] for the
-    /// dependence-scheduled parallel variant.)
+    /// Parses and executes a full script statement by statement, in order,
+    /// returning one output per statement.
     pub fn execute_script(&mut self, text: &str) -> Result<Vec<StmtOutput>> {
         let script = graql_parser::parse(text)?;
         crate::analyze::analyze_script(&self.catalog, &script)?;
@@ -567,17 +568,9 @@ impl Database {
     }
 
     /// Executes a select against the current (already built) graph and
-    /// storage, without registering the result — immutable, so script
-    /// scheduling can run independent selects in parallel. Governed by a
-    /// fresh guard minted from the configured default budget.
-    pub fn execute_select(&self, sel: &ast::SelectStmt) -> Result<QueryOutput> {
-        let guard = QueryGuard::new(self.config.budget);
-        self.execute_select_observed(sel, &guard, None)
-    }
-
-    /// [`Database::execute_select`] under an externally owned guard, with
-    /// an optional span recorder armed (`profile`, slow-query logging).
-    /// `None` keeps the kernels on the zero-overhead path.
+    /// storage under an externally owned guard, without registering the
+    /// result, with an optional span recorder armed (`profile`, slow-query
+    /// logging). `None` keeps the kernels on the zero-overhead path.
     pub fn execute_select_observed(
         &self,
         sel: &ast::SelectStmt,

@@ -4,7 +4,6 @@ pub mod cand;
 pub mod enumerate;
 pub mod expand;
 pub mod explain;
-pub mod pipeline;
 pub mod query;
 pub mod regex;
 pub mod relational;

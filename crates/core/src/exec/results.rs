@@ -76,50 +76,6 @@ fn needs_bindings(q: &CQuery) -> bool {
     !q.labels.is_empty() || !q.edge_labels.is_empty() || q.paths.len() > 1
 }
 
-/// Streams the projected rows of a graph select through `f`, one call per
-/// binding, without building the result table (the §III-B1 pipelined
-/// mode). Single-path branches stream straight out of the enumerator;
-/// multi-path branches fall back to joined bindings.
-pub fn stream_graph_select(
-    ctx: &ExecCtx<'_>,
-    resolved: GraphSelect,
-    mut f: impl FnMut(&[graql_types::Value]) -> Result<()>,
-) -> Result<()> {
-    let row = |qr: &QueryRun, mb: &MultiBinding| -> Result<Vec<graql_types::Value>> {
-        qr.cquery
-            .proj
-            .iter()
-            .map(|c| value_of(ctx, mb, c))
-            .collect()
-    };
-    for q in resolved.branches {
-        if q.paths.len() == 1 && !q.paths[0].has_groups() {
-            // Candidates + culling, then stream from the enumerator.
-            let qr = run_query(ctx, q, false)?;
-            let counts: Vec<usize> = qr.cands[0]
-                .iter()
-                .map(crate::exec::cand::cand_count)
-                .collect();
-            let order = crate::plan::choose_order(&counts, ctx.config.plan_mode);
-            crate::exec::enumerate::enumerate_path(
-                ctx,
-                &qr.cquery.paths[0],
-                0,
-                &qr.cands[0],
-                &qr.efilters[0],
-                &order,
-                |b| f(&row(&qr, &MultiBinding { per_path: vec![b] })?),
-            )?;
-        } else {
-            let qr = run_query(ctx, q, true)?;
-            for mb in qr.bindings.as_ref().expect("bindings requested") {
-                f(&row(&qr, mb)?)?;
-            }
-        }
-    }
-    Ok(())
-}
-
 // ---------------------------------------------------------------------------
 // Table projection
 // ---------------------------------------------------------------------------

@@ -33,9 +33,8 @@
 //!   culling, binding enumeration, labels, multi-path composition, variant
 //!   steps, path regexes, and the Table-1 relational statements.
 //! * [`database`] — the embedded [`Database`] façade (catalog + storage +
-//!   graph + named results).
-//! * [`script`] — multi-statement scripts with dependence-based parallel
-//!   scheduling (§III-B1).
+//!   graph + named results); a script runs statement by statement, in
+//!   order.
 
 pub mod analysis;
 pub mod analyze;
@@ -50,7 +49,6 @@ pub mod lint;
 pub mod persist;
 pub mod plan;
 pub mod plancache;
-pub mod script;
 pub mod server;
 pub mod wal;
 
@@ -60,7 +58,6 @@ pub use exec::results::QueryOutput;
 pub use persist::{load_dir, save_dir};
 pub use plan::ExecConfig;
 pub use plancache::PlanCache;
-pub use script::{run_script, run_script_pipelined, ScriptReport};
 pub use server::{ReplRole, Role, Server, Session, SessionOutput};
 pub use wal::{
     decode_frames, DurabilityOptions, RecoveryReport, ReplBootstrap, ShippedBatch, Wal, WalPayload,

@@ -5,7 +5,7 @@
 //! inside the analyzer's one walk over the statements: each statement is
 //! checked right after its error checks, against the working catalog as
 //! that statement leaves it. They never error and never mutate the
-//! catalog. Each rule reports into its own buffer, and [`Rules::finish`]
+//! catalog. Each rule reports into its own buffer, and `Rules::finish`
 //! appends the buffers in rule order after every error.
 
 use graql_parser::ast::{

@@ -128,7 +128,9 @@ pub enum SessionOutput {
         n_edges: u64,
         summary: String,
     },
-    /// The statement was fused into the next one (pipelined execution).
+    /// Never produced (see [`StmtOutput::Pipelined`]). Kept only because
+    /// the end-to-end benchmark (`benchmark/`) matches this enum
+    /// exhaustively; the benchmark change of ROADMAP item 12 deletes it.
     Pipelined,
     /// `profile <select>` ran: pre-rendered report text and its JSON
     /// form. Rendered where the query executed, so a remote profile is

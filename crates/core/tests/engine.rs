@@ -690,162 +690,6 @@ fn plan_modes_produce_identical_results() {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduled script execution
-// ---------------------------------------------------------------------------
-
-#[test]
-fn parallel_script_matches_sequential() {
-    let script = "select producer from table Products into table A\n\
-                  select id from table Products into table B\n\
-                  select country from table Producers into table C\n\
-                  select count(*) as n from table A";
-    let mut db1 = mini_berlin();
-    let seq = db1.execute_script(script).unwrap();
-    let mut db2 = mini_berlin();
-    let report = graql_core::run_script(&mut db2, script).unwrap();
-    assert_eq!(
-        report.windows.len(),
-        2,
-        "three independent selects + one dependent"
-    );
-    assert_eq!(report.windows[0], vec![0, 1, 2]);
-    let t_seq = table_of(seq.into_iter().last().unwrap());
-    let t_par = table_of(report.outputs.into_iter().last().unwrap());
-    assert_eq!(t_seq.get(0, 0), t_par.get(0, 0));
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined statement fusion (§III-B1)
-// ---------------------------------------------------------------------------
-
-#[test]
-fn pipelined_q2_matches_materialized_q2() {
-    let script = "select y.id from graph \
-                    ProductVtx (id = 'p1') --feature--> FeatureVtx() \
-                    <--feature-- def y: ProductVtx (id != 'p1') \
-                  into table T1\n\
-                  select top 10 id, count(*) as groupCount from table T1 \
-                  group by id order by groupCount desc, id asc";
-    let mut db1 = mini_berlin();
-    let normal = db1.execute_script(script).unwrap();
-    let StmtOutput::Table(expected) = normal.into_iter().last().unwrap() else {
-        panic!()
-    };
-
-    let mut db2 = mini_berlin();
-    let fused = graql_core::run_script_pipelined(&mut db2, script).unwrap();
-    assert!(
-        matches!(fused[0], StmtOutput::Pipelined),
-        "producer was fused"
-    );
-    let StmtOutput::Table(got) = &fused[1] else {
-        panic!()
-    };
-    assert_eq!(got.n_rows(), expected.n_rows());
-    for r in 0..expected.n_rows() {
-        assert_eq!(got.row(r), expected.row(r), "row {r}");
-    }
-    // The intermediate table is never registered.
-    assert!(db2.result_table("T1").is_none(), "T1 must not materialize");
-    assert!(
-        db1.result_table("T1").is_some(),
-        "…but the normal path registers it"
-    );
-}
-
-/// A producer that selects a bare step fuses too, and the fused result
-/// carries the unfused statement's schema, types included.
-#[test]
-fn pipelined_bare_step_producer_matches_materialized() {
-    let script = "select y from graph \
-                    ProductVtx (id = 'p1') --feature--> FeatureVtx() \
-                    <--feature-- def y: ProductVtx (id != 'p1') \
-                  into table T1\n\
-                  select y, count(*) as n from table T1 group by y order by n desc, y asc";
-    let mut db1 = mini_berlin();
-    let expected = table_of(db1.execute_script(script).unwrap().pop().unwrap());
-    let mut db2 = mini_berlin();
-    let mut fused = graql_core::run_script_pipelined(&mut db2, script).unwrap();
-    assert!(
-        matches!(fused[0], StmtOutput::Pipelined),
-        "producer was fused"
-    );
-    let got = table_of(fused.pop().unwrap());
-    assert!(expected.n_rows() > 0);
-    assert_eq!(got.schema(), expected.schema());
-    assert_eq!(got.render(), expected.render());
-}
-
-#[test]
-fn pipelined_runner_handles_non_fusable_scripts() {
-    // DDL + plain selects: nothing fuses, results match plain execution.
-    let script = "select producer, count(*) as n from table Products group by producer\n\
-                  select id from table Producers";
-    let mut db1 = mini_berlin();
-    let a = db1.execute_script(script).unwrap();
-    let mut db2 = mini_berlin();
-    let b = graql_core::run_script_pipelined(&mut db2, script).unwrap();
-    assert_eq!(a.len(), b.len());
-    for (x, y) in a.iter().zip(&b) {
-        let (StmtOutput::Table(tx), StmtOutput::Table(ty)) = (x, y) else {
-            panic!()
-        };
-        assert_eq!(tx.n_rows(), ty.n_rows());
-    }
-}
-
-#[test]
-fn pipelined_fusion_covers_all_aggregates() {
-    // sum/avg/min/max/count over an edge-attribute projection.
-    let script = "select p.id as pid, f.feature as feat from graph \
-                    def p: ProductVtx() --def f: feature--> FeatureVtx() \
-                  into table FT\n\
-                  select pid, count(*) as n, min(feat) as lo, max(feat) as hi \
-                  from table FT group by pid order by pid asc";
-    let mut db1 = mini_berlin();
-    let normal = db1.execute_script(script).unwrap();
-    let StmtOutput::Table(expected) = normal.into_iter().last().unwrap() else {
-        panic!()
-    };
-    let mut db2 = mini_berlin();
-    let fused = graql_core::run_script_pipelined(&mut db2, script).unwrap();
-    let StmtOutput::Table(got) = &fused[1] else {
-        panic!()
-    };
-    assert_eq!(got.n_rows(), expected.n_rows());
-    for r in 0..expected.n_rows() {
-        assert_eq!(got.row(r), expected.row(r), "row {r}");
-    }
-}
-
-#[test]
-fn pipelined_runner_skips_fusion_when_intermediate_is_read_later() {
-    // Statement 3 reads T1, so T1 must materialize even though (1)+(2)
-    // would otherwise fuse.
-    let script = "select y.id from graph \
-                    ProductVtx (id = 'p1') --feature--> FeatureVtx() \
-                    <--feature-- def y: ProductVtx (id != 'p1') \
-                  into table T1\n\
-                  select top 10 id, count(*) as n from table T1 group by id order by n desc\n\
-                  select count(*) as total from table T1";
-    let mut db = mini_berlin();
-    let outs = graql_core::run_script_pipelined(&mut db, script).unwrap();
-    assert!(
-        !matches!(outs[0], StmtOutput::Pipelined),
-        "fusion must be skipped when T1 has later readers"
-    );
-    assert!(db.result_table("T1").is_some());
-    let StmtOutput::Table(t) = &outs[2] else {
-        panic!()
-    };
-    assert_eq!(
-        t.get(0, 0),
-        Value::Int(3),
-        "3 binding rows for p1's shared features"
-    );
-}
-
-// ---------------------------------------------------------------------------
 // IR ships the whole corpus
 // ---------------------------------------------------------------------------
 
@@ -914,7 +758,7 @@ fn query_result_shapes() {
         .execute_str("select * from graph ProductVtx() --producer--> ProducerVtx()")
         .unwrap();
     assert!(matches!(out, StmtOutput::Subgraph(_)));
-    // execute_select on an immutable db.
+    // execute_select_observed on an immutable db.
     db.graph().unwrap();
     let sel = match graql_parser::parse_statement(
         "select ProductVtx.id from graph ProductVtx() --producer--> ProducerVtx()",
@@ -924,6 +768,7 @@ fn query_result_shapes() {
         graql_parser::ast::Stmt::Select(s) => s,
         _ => unreachable!(),
     };
-    let out = db.execute_select(&sel).unwrap();
+    let guard = graql_types::QueryGuard::unlimited();
+    let out = db.execute_select_observed(&sel, guard, None).unwrap();
     assert!(matches!(out, QueryOutput::Table(_)));
 }

@@ -165,7 +165,9 @@ pub enum Msg {
         n_edges: u64,
         summary: String,
     },
-    /// The statement was fused into the next one.
+    /// Never sent: it mirrors `SessionOutput::Pipelined`, which nothing
+    /// produces. Tag 24 stays reserved until ROADMAP item 12's benchmark
+    /// change deletes both.
     Pipelined,
     /// The whole script completed: statement count + server-side latency.
     Done { stmts: u32, micros: u64 },

@@ -2,7 +2,7 @@
 //! database (the "simple command-line interface" client of paper §III).
 //!
 //! ```sh
-//! gems-shell script.graql [--data-dir DIR] [--param NAME=VALUE]... [--parallel]
+//! gems-shell script.graql [--data-dir DIR] [--param NAME=VALUE]...
 //! gems-shell check script.graql        # static analysis only, no execution
 //! gems-shell script.graql --check-only # same
 //! gems-shell check script.graql --json # machine-readable diagnostics
@@ -11,18 +11,17 @@
 //! gems-shell --promote --connect HOST:PORT   # fence a replica into a primary
 //! ```
 //!
-//! Executes the script statement by statement (or with the dependence
-//! scheduler under `--parallel`) and prints each result. `ingest` paths in
-//! the script resolve against `--data-dir`.
+//! Executes the script statement by statement, in order, and prints each
+//! result. `ingest` paths in the script resolve against `--data-dir`.
 //!
 //! With `--connect`, the script runs on a remote `gems-serve` instead of
 //! an in-process database, through the same session interface — output is
 //! byte-identical to a local run. Flags that need the database in-process
-//! (`--save`, `--dot`, `--parallel`, `--data-dir`, `--param`) are
-//! rejected in this mode; `check` ships the script for remote analysis
-//! and renders the diagnostics locally. Ctrl-C during a remote run sends
-//! an out-of-band `Cancel` frame instead of killing the shell: the server
-//! aborts the in-flight query and replies with the typed cancellation
+//! (`--save`, `--dot`, `--data-dir`, `--param`) are rejected in this mode;
+//! `check` ships the script for remote analysis and renders the
+//! diagnostics locally. Ctrl-C during a remote run sends an out-of-band
+//! `Cancel` frame instead of killing the shell: the server aborts the
+//! in-flight query and replies with the typed cancellation
 //! error (a second Ctrl-C terminates the shell the ordinary way).
 //!
 //! `check` / `--check-only` runs the full multi-pass static analysis and
@@ -56,7 +55,7 @@ use graql::types::failpoints::Faults;
 fn usage() -> ! {
     eprintln!(
         "usage: gems-shell <script.graql> [--data-dir DIR] [--param NAME=VALUE]... \
-         [--parallel] [--out FILE] [--save DIR] [--dot SUBGRAPH=FILE] [--check-only]\n\
+         [--out FILE] [--save DIR] [--dot SUBGRAPH=FILE] [--check-only]\n\
          \x20      gems-shell check <script.graql> [--json]\n\
          \x20      gems-shell <script.graql> --connect HOST:PORT[,HOST:PORT...] [--user NAME] \
          [--timeout SECS] [--retries N] [--backoff-ms MS]\n\
@@ -452,7 +451,6 @@ fn main() -> ExitCode {
     let mut script_path: Option<String> = None;
     let mut data_dir: Option<String> = None;
     let mut params: Vec<(String, Value)> = Vec::new();
-    let mut parallel = false;
     let mut check_only = false;
     let mut json = false;
     let mut out_path: Option<String> = None;
@@ -482,7 +480,6 @@ fn main() -> ExitCode {
                     None => usage(),
                 }
             }
-            "--parallel" => parallel = true,
             "--check-only" => check_only = true,
             "--json" => json = true,
             "--out" => out_path = Some(args.next().unwrap_or_else(|| usage())),
@@ -583,14 +580,9 @@ fn main() -> ExitCode {
     if let Some(addr) = connect {
         // These flags need the database in this process; over the wire
         // they would silently act on the wrong side.
-        if save_dir.is_some()
-            || dot_spec.is_some()
-            || parallel
-            || data_dir.is_some()
-            || !params.is_empty()
-        {
+        if save_dir.is_some() || dot_spec.is_some() || data_dir.is_some() || !params.is_empty() {
             eprintln!(
-                "gems-shell: --save, --dot, --parallel, --data-dir and --param \
+                "gems-shell: --save, --dot, --data-dir and --param \
                  are not supported with --connect (they act on the server's \
                  in-process state)"
             );
@@ -626,12 +618,7 @@ fn main() -> ExitCode {
         return run_check(&mut db, &text, &script_path, json);
     }
 
-    let outputs = if parallel {
-        run_script(&mut db, &text).map(|r| r.outputs)
-    } else {
-        db.execute_script(&text)
-    };
-    match outputs {
+    match db.execute_script(&text) {
         Ok(outputs) => {
             // `--out`: the last table result also goes to a CSV file.
             if let Some(path) = &out_path {

@@ -75,5 +75,4 @@ pub mod prelude {
         DataType, Database, Date, Diagnostics, GraqlError, PlanMode, QueryOutput, Result,
         StmtOutput, Value,
     };
-    pub use graql_core::run_script;
 }

@@ -111,6 +111,9 @@ fn write_corpus(dir: &Path) -> Vec<PathBuf> {
     let demo_path = dir.join("demo.graql");
     std::fs::write(&demo_path, demo).unwrap();
 
+    // A grouped consumer right after the graph `into table Flows`, then a
+    // later reader of `Flows`: a grouped aggregate over a graph result,
+    // with the intermediate table registered for the statements after it.
     let fig5_path = dir.join("fig5.graql");
     std::fs::write(
         &fig5_path,
@@ -132,6 +135,7 @@ fn write_corpus(dir: &Path) -> Vec<PathBuf> {
          select PC.country as a, VC.country as b from graph \
              def PC: ProducerCountry() --export--> def VC: VendorCountry() \
              into table Flows\n\
+         select a, count(*) as n from table Flows group by a order by a\n\
          select a, b from table Flows order by a\n\
          select * from graph def PC: ProducerCountry() --export--> \
              def VC: VendorCountry() into subgraph flows\n\

@@ -288,7 +288,9 @@ fn resolved_table_schemas_match_executed_schemas() {
             else {
                 panic!("a table source resolves to a table select: {sel}")
             };
-            let executed = db.execute_select(&sel).unwrap();
+            let executed = db
+                .execute_select_observed(&sel, graql::types::QueryGuard::unlimited(), None)
+                .unwrap();
             let executed = executed.as_table().unwrap().schema();
             assert_eq!(&plan.schema, executed, "{sel}");
             sel.into = Some(IntoClause::Table("SchemaProbe".into()));

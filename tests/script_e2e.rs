@@ -1,6 +1,6 @@
 //! End-to-end script execution: CSV files on disk (the "parallel
 //! filesystem"), `ingest table … file.csv` statements, and the full
-//! DDL → ingest → query pipeline, both sequential and scheduler-parallel.
+//! DDL → ingest → query pipeline, run statement by statement.
 
 use graql::prelude::*;
 
@@ -36,22 +36,6 @@ fn file_ingest_script_end_to_end() {
         panic!()
     };
     assert_eq!(t.get(0, 0), Value::Int(2));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn parallel_script_runner_end_to_end() {
-    let dir = std::env::temp_dir().join(format!("graql_e2e_par_{}", std::process::id()));
-    write_fixture(&dir);
-    let mut db = Database::new();
-    db.set_data_dir(&dir);
-    let report = run_script(&mut db, SCRIPT).unwrap();
-    let StmtOutput::Table(t) = &report.outputs[8] else {
-        panic!()
-    };
-    assert_eq!(t.get(0, 0), Value::Int(2));
-    // DDL and ingest are barriers; the two selects are RAW-dependent.
-    assert_eq!(report.windows.len(), 9);
     std::fs::remove_dir_all(&dir).ok();
 }
 
