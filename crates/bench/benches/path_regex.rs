@@ -1,9 +1,10 @@
 //! EXP FIG10: path regular expressions over the subclass hierarchy.
 //!
 //! Sweeps the repetition quantifier: fixed counts `{1}`, `{2}`, `{4}` and
-//! the unbounded `+` (which stops at the reachability fixpoint). Paper
-//! claim (§II-B4): regex steps give "a very general query capability" over
-//! variable path lengths; set-level BFS keeps them tractable.
+//! the unbounded `+` and `*`, evaluated as reachability over (vertex, hop
+//! phase, repetition count) states, each visited once. Paper claim
+//! (§II-B4): regex steps give "a very general query capability" over
+//! variable path lengths; set semantics keep them polynomial.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use graql_bench::{berlin, run_rows};

@@ -22,7 +22,7 @@ pub const LARGE_PLAN_THRESHOLD: f64 = 1_000_000.0;
 
 /// Exponent cap when estimating a `{n,m}` / `*` / `+` group: degrees
 /// compound, so a handful of repetitions already dominates any plan.
-const GROUP_DEPTH_CAP: u32 = 8;
+pub(crate) const GROUP_DEPTH_CAP: u32 = 8;
 
 /// Default selectivities when no statistics apply.
 const DEFAULT_EQ_SEL: f64 = 0.1;
@@ -328,8 +328,8 @@ pub fn estimate_paths(
                 cur = narrowed_target(work, &cur, edge.take().expect("hop edge"), &target);
                 per_iter *= vertex_cond_selectivity(work, stats, &cur, v.cond.as_ref());
                 if g.hop + 1 == g.hops.len() {
-                    let (lo, hi) = g.quant.bounds(crate::compile::REGEX_CAP);
-                    let depth = hi.min(GROUP_DEPTH_CAP.max(lo));
+                    let (lo, hi) = g.quant.bounds();
+                    let depth = GROUP_DEPTH_CAP.max(lo).min(hi.unwrap_or(u32::MAX));
                     flow *= per_iter.max(1.0).powi(depth as i32);
                     let quant_str = match g.quant {
                         Quant::Star => "*".to_string(),

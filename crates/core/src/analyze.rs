@@ -130,8 +130,8 @@ pub fn check_script(catalog: &Catalog, script: &ast::Script) -> (Catalog, Diagno
 /// [`check_script`] with execution context: the catalog statistics store
 /// (degree means per edge type) enables the path-cost lints (`W0301`,
 /// `H0202`) and the dataflow cost hints (`H0203`), and `governed` — when
-/// known — says whether any query budget is configured, enabling the
-/// ungoverned-repetition lint (`W0303`). Pass `stats: None` / `governed:
+/// known — says whether a deadline or a byte budget is configured, which
+/// silences the ungoverned-repetition lint (`W0303`). Pass `stats: None` / `governed:
 /// None` when the checker has no knowledge of the execution environment.
 pub fn check_script_with_stats(
     catalog: &Catalog,

@@ -652,11 +652,11 @@ impl<'a> Walk<'_, 'a> {
                 if g.hop == 0 {
                     self.close_group(pi);
                     self.group_span = g.span;
+                    let (lo, hi) = g.quant.bounds();
                     let group = CGroup {
                         hops: Vec::new(),
-                        quant: g.quant,
-                        lo: 0,
-                        hi: 0,
+                        lo,
+                        hi,
                     };
                     self.q.paths[pi].links.push(CLink::Group(group));
                 }

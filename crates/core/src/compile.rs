@@ -5,12 +5,12 @@
 //! step types, labels, narrowed domains, attribute columns, projections —
 //! against the catalog. This module only lowers that result onto the
 //! snapshot it runs against: step conditions become per-type physical
-//! predicates, binding-condition literals become values (parameters bind
-//! here) and repetition bounds take the configured cap. The resolver
-//! numbers vertex and edge types in catalog declaration order, which is
-//! the order `build_graph` registers them in, so its ids are the graph's
-//! `VTypeId`/`ETypeId`. Any failure here other than a parameter or a
-//! condition over a bound parameter is an `internal:` error.
+//! predicates and binding-condition literals become values (parameters
+//! bind here). The resolver numbers vertex and edge types in catalog
+//! declaration order, which is the order `build_graph` registers them in,
+//! so its ids are the graph's `VTypeId`/`ETypeId`. Any failure here other
+//! than a parameter or a condition over a bound parameter is an
+//! `internal:` error.
 
 use graql_graph::{ETypeId, Graph, VTypeId};
 use graql_parser::ast::{self, Dir, LabelKind};
@@ -149,10 +149,9 @@ pub struct CEStep {
 #[derive(Debug, Clone)]
 pub struct CGroup {
     pub hops: Vec<(CEStep, CVStep)>,
-    pub quant: ast::Quant,
-    /// Repetition bounds under the configured cap (set by lowering).
     pub lo: u32,
-    pub hi: u32,
+    /// `None` for `*` and `+`.
+    pub hi: Option<u32>,
 }
 
 /// Link between consecutive vertex steps.
@@ -222,11 +221,6 @@ pub fn lower(ctx: &ExecCtx<'_>, q: &mut CQuery) -> Result<()> {
             match link {
                 CLink::Edge(e) => lower_estep(ctx, e)?,
                 CLink::Group(g) => {
-                    let cap = ctx.config.regex_cap.max(1);
-                    let (lo, hi) = g.quant.bounds(cap);
-                    // Explicit ranges are honored up to the cap (guarding
-                    // against pathological `{0,1000000000}` requests).
-                    (g.lo, g.hi) = (lo, hi.min(lo.saturating_add(cap)));
                     for (e, v) in &mut g.hops {
                         lower_estep(ctx, e)?;
                         lower_vstep(ctx, v)?;
@@ -294,8 +288,3 @@ pub(crate) fn check_views(catalog: &Catalog, graph: &Graph) -> Result<()> {
     }
     Ok(())
 }
-
-/// Upper bound applied to unbounded (`*`/`+`) regex quantifiers. Frontier
-/// expansion also stops early at a fixpoint, so this only matters for
-/// pathological graphs with longer simple paths.
-pub const REGEX_CAP: u32 = 64;

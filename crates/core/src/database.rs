@@ -286,7 +286,10 @@ impl Database {
     /// graph build on its own.
     pub fn check_script(&mut self, script: &ast::Script) -> graql_types::Diagnostics {
         self.refresh_catstats();
-        let governed = Some(!self.config.budget.is_unlimited());
+        // A set-level group charges no rows, so only a deadline or a byte
+        // cap can stop an unbounded repetition.
+        let budget = &self.config.budget;
+        let governed = Some(budget.deadline.is_some() || budget.max_query_bytes.is_some());
         let (_, diags) = crate::analyze::check_script_with_stats(
             &self.catalog,
             script,

@@ -6,8 +6,6 @@
 //! results (Fig. 13: one row per match, duplicates meaningful — Berlin Q2
 //! counts them), element-wise labels and cross-step conditions.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use graql_graph::{ETypeId, VTypeId};
 use graql_table::{morsel, BitSet};
 use graql_types::{GraqlError, Result};
@@ -133,10 +131,6 @@ pub fn enumerate_path(
         order: &'p [usize],
         checks_at: &'p [Vec<Check<'p>>],
         on_binding: F,
-        /// Rows produced so far — shared across parallel workers so the
-        /// row cap trips at the same global total as serial execution.
-        produced: &'p AtomicUsize,
-        max_rows: usize,
         ticker: graql_types::guard::Ticker<'c>,
     }
 
@@ -191,14 +185,7 @@ pub fn enumerate_path(
         ) -> Result<()> {
             let n = self.path.vsteps.len();
             if depth == n {
-                let total = self.produced.fetch_add(1, Ordering::Relaxed) + 1;
                 self.ctx.guard.add_rows(1)?;
-                if total > self.max_rows {
-                    return Err(GraqlError::exec(format!(
-                        "query produced more than {} rows; raise ExecConfig::max_rows",
-                        self.max_rows
-                    )));
-                }
                 let b = Binding {
                     v: vbind.iter().map(|x| x.expect("complete binding")).collect(),
                     e: ebind.iter().map(|x| x.expect("complete binding")).collect(),
@@ -251,9 +238,6 @@ pub fn enumerate_path(
             e: Vec::new(),
         });
     }
-
-    let produced = AtomicUsize::new(0);
-    let max_rows = ctx.config.max_rows;
 
     // Flatten the depth-0 candidates into one start list: `Cand` is a
     // BTreeMap and bitset iteration is ascending, so this is exactly the
@@ -308,8 +292,6 @@ pub fn enumerate_path(
             order,
             checks_at: &checks_at,
             on_binding: &mut on_binding,
-            produced: &produced,
-            max_rows,
             ticker: ctx.guard.ticker(),
         };
         return dfs.run(&starts, &mut vbind, &mut ebind);
@@ -335,8 +317,6 @@ pub fn enumerate_path(
                 local.push(b);
                 Ok(())
             },
-            produced: &produced,
-            max_rows,
             ticker: ctx.guard.ticker(),
         };
         dfs.run(&starts[range], &mut vbind, &mut ebind)?;

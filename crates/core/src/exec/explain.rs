@@ -18,10 +18,6 @@ use crate::exec::query::run_query;
 use crate::exec::ExecCtx;
 use crate::plan::choose_order;
 
-/// Exponent cap when estimating a repeated group (mirrors
-/// [`cost::estimate_paths`]'s treatment).
-const GROUP_DEPTH_CAP: u32 = 8;
-
 /// Renders the execution plan of a resolved graph select.
 pub fn explain_graph_select(
     ctx: &ExecCtx<'_>,
@@ -183,7 +179,9 @@ fn link_estimate(ctx: &ExecCtx<'_>, stats: &CatalogStats, link: &CLink, flow: f6
                 per_iter *= edge_expansion(ctx, stats, e);
                 per_iter *= vstep_selectivity(ctx, stats, v);
             }
-            let depth = g.hi.min(GROUP_DEPTH_CAP.max(g.lo));
+            let depth = cost::GROUP_DEPTH_CAP
+                .max(g.lo)
+                .min(g.hi.unwrap_or(u32::MAX));
             flow * per_iter.max(1.0).powi(depth as i32)
         }
     }
@@ -215,10 +213,10 @@ fn describe_link(ctx: &ExecCtx<'_>, p: &CPath, li: usize) -> String {
             )
         }
         CLink::Group(g) => format!(
-            "{{ {} hops }} repeated {}..={} (set-level BFS)",
+            "{{ {} hops }} repeated {}..{} (state reachability)",
             g.hops.len(),
             g.lo,
-            g.hi
+            g.hi.map_or(String::new(), |hi| format!("={hi}"))
         ),
     }
 }

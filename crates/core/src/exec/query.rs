@@ -4,7 +4,7 @@
 use graql_graph::{ETypeId, VTypeId};
 use graql_table::BitSet;
 use graql_types::obs::{obs_record, obs_record_rows, obs_start, Stage};
-use graql_types::{GraqlError, Result};
+use graql_types::Result;
 use rustc_hash::FxHashMap;
 
 use graql_parser::ast::LabelKind;
@@ -163,7 +163,11 @@ fn cull_paths(
     // Fault site at the batch-granularity checkpoint: a Delay here widens
     // the window in which cancel/deadline must land mid-query; an Err
     // injects the same typed abort a tripped guard produces.
-    graql_types::failpoint!(ctx.guard.faults(), "core/exec/batch", GraqlError::cancelled);
+    graql_types::failpoint!(
+        ctx.guard.faults(),
+        "core/exec/batch",
+        graql_types::GraqlError::cancelled
+    );
     ctx.guard.check()?;
     for (pi, p) in q.paths.iter().enumerate() {
         // Forward sweep.
@@ -307,14 +311,11 @@ fn produce_bindings(
             .collect();
 
         if shared.is_empty() {
-            // Cross product (pure set-label sharing).
-            let guard = acc.len().saturating_mul(rows.len());
-            if guard > ctx.config.max_rows {
-                return Err(GraqlError::exec(
-                    "and-composition without a shared foreach label would exceed the row cap",
-                ));
-            }
-            let mut next = Vec::with_capacity(guard);
+            // Cross product (pure set-label sharing), charged against the
+            // row budget before it is built.
+            ctx.guard
+                .add_rows((acc.len() as u64).saturating_mul(rows.len() as u64))?;
+            let mut next = Vec::new();
             let mut ticker = ctx.guard.ticker();
             for a in &acc {
                 for r in &rows {
@@ -384,16 +385,14 @@ fn produce_bindings(
                 }
             }
         }
-        let mut next = Vec::new();
+        ctx.guard.add_rows(pairs.len() as u64)?;
+        let mut next = Vec::with_capacity(pairs.len());
         let mut ticker = ctx.guard.ticker();
         for (ai, ri) in pairs {
             ticker.tick()?;
             let mut per_path = acc[ai].per_path.clone();
             per_path.push(rows[ri].clone());
             next.push(MultiBinding { per_path });
-            if next.len() > ctx.config.max_rows {
-                return Err(GraqlError::exec("joined result exceeds the row cap"));
-            }
         }
         if let Some(p) = ctx.obs {
             p.add_guard_ticks(ticker.checkpoints());

@@ -1,258 +1,248 @@
-//! Path regular expressions (§II-B4, Fig. 10): bounded repetition of
-//! variant hop sequences, executed as set-level BFS over the edge indexes.
+//! Path regular expressions (§II-B4, Fig. 10): repetition of variant hop
+//! sequences, evaluated as reachability over the product of the graph with
+//! the group's hop automaton.
 //!
 //! Binding-level enumeration through an unbounded repetition would be
-//! exponential, so groups produce *set* results: the frontier after valid
-//! repetition counts, and — for subgraph capture — the vertices/edges
-//! lying on some valid path (computed by intersecting forward levels with
-//! backward levels from the exit set).
+//! exponential, so groups produce *set* results: the vertices reached
+//! after a valid repetition count, and — for subgraph capture — the
+//! vertices and edges lying on some valid walk.
 //!
-//! Two subtleties the implementation handles explicitly:
+//! A product state is (vertex, hop phase `0..m`, repetition count). A
+//! finite group counts exactly up to `hi`; an unbounded one saturates the
+//! count at `lo`, since every count past `lo` is as valid as `lo`. A sweep
+//! keeps one visited [`Cand`] per (phase, count) and expands only the
+//! vertices new to it, so each state is expanded once and the sweep ends
+//! after at most `m·(c+1)·|V|` state visits (`c` = `lo`, or the finite
+//! `hi`): no cap and no stability test.
 //!
-//! * **Backward landings at repetition boundaries** are either the group's
-//!   *entry* vertex (unconstrained by hop conditions) or an *intermediate*
-//!   boundary vertex, which must still satisfy the last hop's conditions.
-//!   The two are tracked separately ([`GroupLevels::entry_at`] vs the
-//!   conditioned [`GroupLevels::at`]).
-//! * **Early cutoff** requires the boundary frontier to be *stable*
-//!   (identical to the previous boundary's): a merely non-growing
-//!   cumulative set is not enough — frontiers can oscillate on cycles
-//!   (a→b→a), and dropping later levels would lose valid exits.
+//! * **Forward** sets hold vertices with a valid prefix, their own hop
+//!   condition included. **Backward** sets hold vertices with a valid
+//!   suffix to an exit, their own condition *excluded*: a phase-0 vertex is
+//!   either the unconditioned group entry or an intermediate boundary that
+//!   still carries the last hop's condition, and only the prefix knows
+//!   which. A backward step therefore applies the hop condition to the
+//!   vertex it leaves, and lands in the unconditioned universe.
+//! * **Members**: a vertex at phase `j` lies on a walk of `r` repetitions
+//!   iff it is in the forward set `(j, f)` and the backward set `(j, b)`
+//!   with `f + b = r` (the backward count is the number of repetitions
+//!   entered walking back from the exit). Under saturation `f + b ≥ lo`
+//!   still tests `r ≥ lo` exactly: a saturated count is `lo` and bounds
+//!   the true one from below.
+//! * **Huge finite bounds.** Let `|V|` be the graph's vertex count. The
+//!   saturated product has `S = m·(lo+1)·|V|` states. A shortest walk
+//!   through a member state, or a member edge, is a shortest prefix plus a
+//!   shortest suffix, each visiting a saturated state at most once, so it
+//!   has at most `2S − 1` hops: fewer than `2·(lo+1)·|V|` repetitions. A
+//!   finite `hi ≥ 2·(lo+1)·|V| + 1` therefore selects exactly what the
+//!   unbounded group selects, and is evaluated as unbounded. The bound
+//!   comes from the input, so `{0,1000000000}` on a cycle stays cheap.
 
-use graql_graph::{ETypeId, VTypeId};
+use std::collections::BTreeMap;
+
+use graql_graph::ETypeId;
 use graql_table::BitSet;
 use graql_types::Result;
 use rustc_hash::FxHashMap;
 
 use crate::compile::CGroup;
-use crate::exec::cand::{cand_count, cand_is_empty, local_candidates, Cand};
-use crate::exec::expand::expand;
+use crate::exec::cand::{cand_count, edge_filters, local_candidates, Cand};
+use crate::exec::expand::{expand, matched_edges};
 use crate::exec::ExecCtx;
 
-/// All-pass edge filters (group hops are typically `[ ]` variant steps,
-/// which cannot carry conditions; named hops' vertex conditions live in
-/// the hop candidates instead).
-fn no_filters() -> FxHashMap<ETypeId, BitSet> {
-    FxHashMap::default()
+/// Visited product states of one sweep, keyed by (phase, count).
+type States = BTreeMap<(usize, usize), Cand>;
+
+/// A lowered group ready to sweep.
+struct Automaton<'g> {
+    group: &'g CGroup,
+    /// Per hop: the landing vertex's candidates (domain + hop conditions).
+    cands: Vec<Cand>,
+    /// Per hop: the edge step's filters.
+    filters: Vec<FxHashMap<ETypeId, BitSet>>,
+    /// Every vertex: where a backward step may land.
+    universe: Cand,
+    lo: usize,
+    /// `None` for an unbounded group, or a finite bound too large to
+    /// select anything the unbounded group does not.
+    hi: Option<usize>,
 }
 
-/// BFS levels through a group.
-pub struct GroupLevels {
-    /// `at[p]`: vertices reached after exactly `p` hop applications, with
-    /// hop conditions applied at every landing (including boundaries).
-    pub at: Vec<Cand>,
-    /// Backward sweeps only: `entry_at[reps]` is the frontier after
-    /// exactly `reps` full repetitions when the landing is the group
-    /// *entry* (no hop condition applies there). `entry_at[0]` is the
-    /// start set itself. `None` for repetition counts not reached.
-    pub entry_at: Vec<Option<Cand>>,
-}
-
-/// Computes BFS levels from `start` through `group`, walking `forward`
-/// along the path or backward from the exit side.
-pub fn levels(
-    ctx: &ExecCtx<'_>,
-    start: &Cand,
-    group: &CGroup,
-    forward: bool,
-) -> Result<GroupLevels> {
-    let m = group.hops.len();
-    let max_positions = (group.hi as usize).saturating_mul(m);
-    let mut at: Vec<Cand> = vec![start.clone()];
-    let mut entry_at: Vec<Option<Cand>> = vec![Some(start.clone())];
-
-    // Hop candidate sets (domain + any hop conditions).
-    let mut hop_cands: Vec<Cand> = Vec::with_capacity(m);
-    for (_, vstep) in &group.hops {
-        hop_cands.push(local_candidates(ctx, vstep)?);
+impl<'g> Automaton<'g> {
+    fn new(ctx: &ExecCtx<'_>, group: &'g CGroup) -> Result<Self> {
+        let universe: Cand = ctx
+            .graph
+            .vtype_ids()
+            .map(|vt| (vt, BitSet::full(ctx.graph.vset(vt).len())))
+            .collect();
+        let lo = group.lo as usize;
+        // Past this, a finite bound selects what `*` selects (module doc).
+        let max_exact = (lo + 1).saturating_mul(2 * cand_count(&universe));
+        Ok(Automaton {
+            group,
+            cands: group
+                .hops
+                .iter()
+                .map(|(_, v)| local_candidates(ctx, v))
+                .collect::<Result<_>>()?,
+            filters: group
+                .hops
+                .iter()
+                .map(|(e, _)| edge_filters(ctx, e))
+                .collect::<Result<_>>()?,
+            universe,
+            lo,
+            hi: group.hi.map(|hi| hi as usize).filter(|&hi| hi <= max_exact),
+        })
     }
-    // Unconstrained universe for backward entry landings.
-    let entry_universe: Cand = ctx
-        .graph
-        .vtype_ids()
-        .map(|vt: VTypeId| (vt, BitSet::full(ctx.graph.vset(vt).len())))
-        .collect();
 
-    for p in 0..max_positions {
-        // Each BFS level materializes a frontier; this is where a runaway
-        // repetition burns time and memory, so checkpoint every level and
-        // charge the frontier against the byte budget.
-        ctx.guard.check()?;
-        let hop_idx = if forward { p % m } else { m - 1 - (p % m) };
-        let (estep, _) = &group.hops[hop_idx];
-        // Conditioned universe of this landing: walking forward a hop
-        // lands in its own vertex step's candidates; walking backward it
-        // lands in the *preceding* vertex's (previous hop's vertex, or —
-        // at the repetition boundary — the last hop's vertex of the
-        // previous repetition, which still carries that hop's conditions).
-        let universe: &Cand = if forward {
-            &hop_cands[hop_idx]
-        } else if hop_idx == 0 {
-            &hop_cands[m - 1]
+    /// Whether `reps` repetitions (a saturated total when unbounded) are
+    /// valid.
+    fn valid(&self, reps: usize) -> bool {
+        reps >= self.lo && self.hi.is_none_or(|hi| reps <= hi)
+    }
+
+    /// One hop on from state (`phase`, `count`), walking `forward` or
+    /// backward: the hop taken and the phase and count it lands in. `None`
+    /// when the step would start a repetition past `hi`.
+    fn step(&self, phase: usize, count: usize, forward: bool) -> Option<(usize, usize, usize)> {
+        if phase == 0 && self.hi == Some(count) {
+            return None;
+        }
+        let m = self.group.hops.len();
+        let (hop, to, crosses) = if forward {
+            (phase, (phase + 1) % m, phase + 1 == m)
         } else {
-            &hop_cands[hop_idx - 1]
+            let hop = (phase + m - 1) % m;
+            (hop, hop, phase == 0)
         };
-        let next = expand(ctx, &at[p], estep, &no_filters(), universe, forward)?;
-        let completes_rep = (p + 1) % m == 0;
-        if !forward && completes_rep {
-            // The same expansion, unconditioned: valid when the landing is
-            // the group entry rather than an intermediate boundary.
-            let entry = expand(ctx, &at[p], estep, &no_filters(), &entry_universe, forward)?;
-            entry_at.push(if cand_is_empty(&entry) {
-                None
-            } else {
-                Some(entry)
-            });
-        } else if completes_rep {
-            entry_at.push(None); // unused on forward sweeps
-        }
-        if cand_is_empty(&next) {
-            break;
-        }
-        ctx.guard.add_bytes(4 * cand_count(&next) as u64)?;
-        at.push(next);
-        // Stable-frontier cutoff at repetition boundaries: identical to
-        // the previous boundary frontier means every later level repeats
-        // with period one — nothing new can appear. (A non-growing
-        // cumulative set is NOT sufficient: frontiers oscillate on
-        // cycles.)
-        let reps_done = (p + 1) / m;
-        if completes_rep && reps_done >= 1 && reps_done >= group.lo as usize {
-            let prev_boundary = (reps_done - 1) * m;
-            if at[reps_done * m] == at[prev_boundary] {
-                break;
+        let count = match (crosses, self.hi) {
+            (false, _) => count,
+            (true, Some(_)) => count + 1,
+            (true, None) => (count + 1).min(self.lo),
+        };
+        Some((hop, to, count))
+    }
+
+    /// Every state reachable from `start` at (phase 0, count 0), walking
+    /// `forward` from the entry side or backward from the exit side.
+    fn sweep(&self, ctx: &ExecCtx<'_>, start: &Cand, forward: bool) -> Result<States> {
+        let mut states = States::new();
+        let mut todo = vec![((0, 0), start.clone())];
+        while !todo.is_empty() {
+            // One checkpoint per round; every new state set is charged
+            // against the byte budget, so a runaway finite group fails
+            // with the typed budget error.
+            ctx.guard.check()?;
+            for ((phase, count), mut new) in std::mem::take(&mut todo) {
+                let seen = states.entry((phase, count)).or_default();
+                for (vt, set) in new.iter_mut() {
+                    if let Some(s) = seen.get(vt) {
+                        set.difference_with(s);
+                    }
+                }
+                let added = cand_count(&new);
+                if added == 0 {
+                    continue;
+                }
+                ctx.guard.add_bytes(4 * added as u64)?;
+                union_into(seen, &new);
+                let Some((hop, to, to_count)) = self.step(phase, count, forward) else {
+                    continue;
+                };
+                let (estep, filters) = (&self.group.hops[hop].0, &self.filters[hop]);
+                let next = if forward {
+                    expand(ctx, &new, estep, filters, &self.cands[hop], true)?
+                } else {
+                    // The vertex left behind is the landing of `hop`.
+                    let from = intersect(&new, &self.cands[hop]);
+                    expand(ctx, &from, estep, filters, &self.universe, false)?
+                };
+                todo.push(((to, to_count), next));
             }
         }
+        Ok(states)
     }
-    Ok(GroupLevels { at, entry_at })
 }
 
-/// The frontier after any valid repetition count in `[lo, hi]`, entered
-/// from `start` (walking `forward` along the path). For backward sweeps
-/// this is the set of possible group-entry vertices.
+fn union_into(dst: &mut Cand, src: &Cand) {
+    for (vt, set) in src {
+        dst.entry(*vt)
+            .and_modify(|s| s.union_with(set))
+            .or_insert_with(|| set.clone());
+    }
+}
+
+fn intersect(a: &Cand, b: &Cand) -> Cand {
+    a.iter()
+        .filter_map(|(vt, set)| {
+            let mut set = set.clone();
+            set.intersect_with(b.get(vt)?);
+            Some((*vt, set))
+        })
+        .collect()
+}
+
+/// The frontier after any valid repetition count, entered from `start`
+/// (walking `forward` along the path). For backward sweeps this is the set
+/// of possible group-entry vertices.
 pub fn group_frontier(
     ctx: &ExecCtx<'_>,
     start: &Cand,
     group: &CGroup,
     forward: bool,
 ) -> Result<Cand> {
-    let m = group.hops.len();
-    let lv = levels(ctx, start, group, forward)?;
+    let a = Automaton::new(ctx, group)?;
     let mut out = Cand::new();
-    let mut add = |frontier: &Cand| {
-        for (vt, set) in frontier {
-            out.entry(*vt)
-                .and_modify(|s| s.union_with(set))
-                .or_insert_with(|| set.clone());
-        }
-    };
-    if forward {
-        // A stable-frontier cutoff below `hi` means later boundary
-        // frontiers equal the last one computed, which the loop includes.
-        let max_reps = (lv.at.len() - 1) / m;
-        for reps in group.lo as usize..=(group.hi as usize).min(max_reps) {
-            add(&lv.at[reps * m]);
-        }
-    } else {
-        for reps in group.lo as usize..=group.hi as usize {
-            match lv.entry_at.get(reps) {
-                Some(Some(f)) => add(f),
-                Some(None) => {} // reached, but no entry landing possible
-                None => {
-                    // Cut off by stability: the last computed entry
-                    // frontier repeats for every remaining count.
-                    if let Some(Some(last)) = lv.entry_at.iter().rev().find(|e| e.is_some()) {
-                        add(last);
-                    }
-                    break;
-                }
-            }
+    for ((phase, count), set) in a.sweep(ctx, start, forward)? {
+        if phase == 0 && a.valid(count) {
+            union_into(&mut out, &set);
         }
     }
     Ok(out)
 }
 
-/// Vertices and edges on *some* valid path from `entry` to `exit` through
-/// the group: position-wise intersection of forward and backward levels.
+/// Vertices and edges on *some* valid walk from `entry` to `exit` through
+/// the group: the forward states co-reachable backward with a valid total
+/// count, and the edges joining consecutive member states.
 pub fn group_members(
     ctx: &ExecCtx<'_>,
     entry: &Cand,
     exit: &Cand,
     group: &CGroup,
 ) -> Result<(Cand, Vec<(ETypeId, BitSet)>)> {
-    let m = group.hops.len();
-    let fwd = levels(ctx, entry, group, true)?;
-    let bwd = levels(ctx, exit, group, false)?;
-    let lo = group.lo as usize;
-    let hi = group.hi as usize;
-    let mut member_by_pos: Vec<Cand> = vec![Cand::new(); fwd.at.len()];
-    for reps in lo..=hi {
+    let a = Automaton::new(ctx, group)?;
+    let (fwd, bwd) = (a.sweep(ctx, entry, true)?, a.sweep(ctx, exit, false)?);
+    let mut member = States::new();
+    let mut members = Cand::new();
+    for (&(phase, f), f_set) in &fwd {
         ctx.guard.check()?;
-        let total = reps * m;
-        if total >= fwd.at.len() {
-            break;
-        }
-        // `p` indexes three parallel structures (`fwd.at`, `bwd.at` via
-        // `total - p`, and `member_by_pos`), so an iterator rewrite would
-        // obscure the position arithmetic.
-        #[allow(clippy::needless_range_loop)]
-        for p in 0..=total {
-            let back = total - p;
-            // The backward set constraining path position p: the entry
-            // position (p == 0) uses the unconditioned entry frontier;
-            // everything else uses the conditioned level.
-            let bset: Option<&Cand> = if p == 0 {
-                bwd.entry_at.get(reps).and_then(Option::as_ref)
-            } else if back < bwd.at.len() {
-                Some(&bwd.at[back])
-            } else {
-                None
-            };
-            let Some(b) = bset else { continue };
-            let f = &fwd.at[p];
-            for (vt, fset) in f {
-                if let Some(bs) = b.get(vt) {
-                    let mut inter = fset.clone();
-                    inter.intersect_with(bs);
-                    if !inter.none() {
-                        member_by_pos[p]
-                            .entry(*vt)
-                            .and_modify(|s| s.union_with(&inter))
-                            .or_insert(inter);
-                    }
-                }
+        let mut suffix = Cand::new();
+        for ((_, b), b_set) in bwd.range((phase, 0)..(phase + 1, 0)) {
+            if a.valid(f + b) {
+                union_into(&mut suffix, b_set);
             }
         }
+        let m = intersect(f_set, &suffix);
+        union_into(&mut members, &m);
+        member.insert((phase, f), m);
     }
-    // Union of members over positions.
-    let mut members = Cand::new();
-    for pos in &member_by_pos {
-        for (vt, set) in pos {
-            members
-                .entry(*vt)
-                .and_modify(|s| s.union_with(set))
-                .or_insert_with(|| set.clone());
-        }
-    }
-    // Matched edges: for each adjacent position pair, edges from members
-    // at p to members at p+1 via the hop at p.
-    let mut edge_sets: FxHashMap<ETypeId, BitSet> = FxHashMap::default();
-    for p in 0..member_by_pos.len().saturating_sub(1) {
-        let hop_idx = p % m;
-        let (estep, _) = &group.hops[hop_idx];
-        let from = &member_by_pos[p];
-        let to = &member_by_pos[p + 1];
-        if from.is_empty() || to.is_empty() {
+    let mut edges: BTreeMap<ETypeId, BitSet> = BTreeMap::new();
+    for (&(phase, count), from) in &member {
+        let Some((hop, to, to_count)) = a.step(phase, count, true) else {
             continue;
-        }
-        for (et, hit) in crate::exec::expand::matched_edges(ctx, from, estep, &no_filters(), to) {
-            edge_sets
+        };
+        let Some(target) = member.get(&(to, to_count)) else {
+            continue;
+        };
+        // A phase-0 member may be an unconditioned entry; an edge landing
+        // there must meet the hop's condition.
+        let target = intersect(target, &a.cands[hop]);
+        for (et, hit) in matched_edges(ctx, from, &group.hops[hop].0, &a.filters[hop], &target) {
+            edges
                 .entry(et)
                 .and_modify(|s| s.union_with(&hit))
                 .or_insert(hit);
         }
     }
-    let mut edges: Vec<(ETypeId, BitSet)> = edge_sets.into_iter().collect();
-    edges.sort_by_key(|(et, _)| *et);
-    Ok((members, edges))
+    Ok((members, edges.into_iter().collect()))
 }

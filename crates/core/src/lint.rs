@@ -24,9 +24,11 @@ pub const FANOUT_THRESHOLD: f64 = 4.0;
 /// The rules' state across one script's statements.
 pub(crate) struct Rules<'s> {
     stats: Option<&'s CatalogStats>,
-    /// Three-valued: `Some(false)` means the checker *knows* no query
-    /// budget is configured (enabling `W0303`), `Some(true)` means budgets
-    /// exist, `None` means the execution environment is unknown
+    /// Three-valued: `Some(false)` means the checker *knows* neither a
+    /// deadline nor a byte budget is configured (enabling `W0303`; a row
+    /// budget cannot stop a set-level group, which charges no rows),
+    /// `Some(true)` means one of them is, `None` means the execution
+    /// environment is unknown
     /// (catalog-only checks), which suppresses the lint rather than
     /// guessing.
     governed: Option<bool>,
@@ -359,7 +361,7 @@ fn lint_group(
             )
             .with_note(
                 "a runaway traversal cannot be stopped; configure a deadline \
-                 or a max_result_rows / max_query_bytes budget",
+                 or a max_query_bytes budget",
             ),
         );
     }
@@ -394,9 +396,9 @@ fn lint_group(
         }
     }
     // …and across the wrap-around when the group can repeat.
-    let (_, max_reps) = g.quant.bounds(u32::MAX);
+    let repeats = g.quant.bounds().1.is_none_or(|hi| hi >= 2);
     if let (true, Some((e_last, v_last)), Some((e_first, _))) =
-        (max_reps >= 2, g.hops.last(), g.hops.first())
+        (repeats, g.hops.last(), g.hops.first())
     {
         if matches!(v_last.name, StepName::Any) {
             check_variant_junction(work, e_last, e_first, v_last.span, sink);

@@ -26,10 +26,6 @@ pub struct ExecConfig {
     pub plan_mode: PlanMode,
     /// Semi-join culling before enumeration (EXP-CULL ablation).
     pub culling: bool,
-    /// Hard cap on produced binding rows.
-    pub max_rows: usize,
-    /// Cap on `*`/`+` regex repetitions.
-    pub regex_cap: u32,
     /// Default per-query governance budget (deadline + row/byte caps).
     /// Sessions mint one `QueryGuard` per request from this; the network
     /// server additionally folds in its per-request deadline.
@@ -47,8 +43,6 @@ impl Default for ExecConfig {
         ExecConfig {
             plan_mode: PlanMode::Auto,
             culling: true,
-            max_rows: 50_000_000,
-            regex_cap: crate::compile::REGEX_CAP,
             budget: graql_types::QueryBudget::UNLIMITED,
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())

@@ -326,3 +326,21 @@ fn parity_rows_are_rejected_statically_and_at_execution() {
         );
     }
 }
+
+// -- governance lint -------------------------------------------------------------
+
+/// A set-level group charges no rows, so a row budget alone cannot stop an
+/// unbounded repetition: `W0303` still fires. A byte budget silences it.
+#[test]
+fn row_budget_alone_leaves_repetition_ungoverned() {
+    let src = "select * from graph TypeVtx() { --subclass--> TypeVtx() }* --> TypeVtx()";
+    let mut db = graql_core::Database::new();
+    db.execute_script(graql_bsbm::schema_ddl()).unwrap();
+    db.execute_script(graql_bsbm::graph_ddl()).unwrap();
+    let w0303 =
+        |db: &mut graql_core::Database| db.check_script_str(src).iter().any(|d| d.code == "W0303");
+    db.config_mut().budget.max_result_rows = Some(1_000);
+    assert!(w0303(&mut db), "a row budget alone must not silence W0303");
+    db.config_mut().budget.max_query_bytes = Some(1 << 20);
+    assert!(!w0303(&mut db), "a byte budget silences W0303");
+}

@@ -740,6 +740,17 @@ fn explain_shows_plan_decisions() {
     assert!(plan.contains("enumeration order"), "{plan}");
     // The selective head (1 candidate) is reported as such.
     assert!(plan.contains("— 1 candidates after culling"), "{plan}");
+    // Repetition groups show their real bounds: `*` has no upper one.
+    for (quant, bounds) in [("*", "0.."), ("+", "1.."), ("{2,5}", "2..=5")] {
+        let plan = db
+            .explain_str(&format!(
+                "select * from graph TypeVtx() {{ --subclass--> TypeVtx() }}{quant} \
+                 --> TypeVtx() into subgraph r"
+            ))
+            .unwrap();
+        let line = format!("{{ 1 hops }} repeated {bounds} (state reachability)");
+        assert!(plan.contains(&line), "{quant}: {plan}");
+    }
     // Table selects get a summary line.
     let plan = db
         .explain_str("select producer, count(*) as n from table Products group by producer")

@@ -354,3 +354,190 @@ fn stale_seed_after_ingest_errors_cleanly() {
         .unwrap_err();
     assert!(err.to_string().contains("stale"), "{err}");
 }
+
+// ---------------------------------------------------------------------------
+// Long chains and cycles: repetition has no cap
+// ---------------------------------------------------------------------------
+
+/// A cycle graph: `k` vertices of type `Node`, edge `next` i → (i+1) mod k.
+fn cycle(k: usize) -> Database {
+    let mut db = chain(k);
+    db.ingest_str("Links", &format!("{},0\n", k - 1)).unwrap();
+    db
+}
+
+/// Vertex and edge counts of a query's subgraph, asserted equal at 1 and
+/// 2 threads.
+fn sizes(db: &mut Database, query: &str) -> (usize, usize) {
+    let mut seen = Vec::new();
+    for threads in [1, 2] {
+        db.config_mut().threads = threads;
+        let StmtOutput::Subgraph(sg) = db.execute_str(query).unwrap() else {
+            panic!("expected subgraph: {query}")
+        };
+        seen.push((sg.n_vertices(), sg.n_edges()));
+    }
+    assert_eq!(seen[0], seen[1], "threads 1 vs 2: {query}");
+    seen[0]
+}
+
+fn group_query(head: &str, quant: &str, exit: &str) -> String {
+    format!("select * from graph {head} {{ --next--> Node() }}{quant} --> {exit} into subgraph r")
+}
+
+/// The chain `0 → … → h` (h + 1 vertices, h edges) is matched whole by
+/// every quantifier that admits h hops: seeded forward at node 0,
+/// anchored only at the exit (the backward cull picks the entries), and
+/// with both ends pinned. Past 64 hops this used to come back truncated
+/// or empty.
+#[test]
+fn long_chains_match_whole_under_every_quantifier() {
+    for h in [50usize, 64, 65, 100, 200] {
+        let mut db = chain(h + 1);
+        let exact = format!("{{{h}}}");
+        let range = format!("{{{},{}}}", h - 10, h + 10);
+        for quant in ["*", "+", exact.as_str(), range.as_str(), "{0,1000}"] {
+            let last = format!("Node(id = {h})");
+            for (head, exit) in [
+                ("Node(id = 0)", "Node()"),
+                ("Node()", last.as_str()),
+                ("Node(id = 0)", last.as_str()),
+            ] {
+                // `{n,m}` seeded forward stops after m hops, whatever the
+                // exit; anchored at node h, entries 0..=10 all reach it.
+                let q = group_query(head, quant, exit);
+                assert_eq!(sizes(&mut db, &q), (h + 1, h), "{q}");
+            }
+        }
+    }
+}
+
+/// A group inside a longer path: `0 --next--> 1 {…} x --next--> h` puts the
+/// group between nodes 1 and h − 1, so the whole chain is matched.
+#[test]
+fn long_chain_group_inside_a_longer_path() {
+    for h in [50usize, 64, 65, 100, 200] {
+        let mut db = chain(h + 1);
+        let exact = format!("{{{}}}", h - 2);
+        let range = format!("{{{},{}}}", h - 12, h + 8);
+        for quant in ["*", "+", exact.as_str(), range.as_str()] {
+            let q = format!(
+                "select * from graph Node(id = 0) --next--> Node() \
+                 {{ --next--> Node() }}{quant} --> Node() --next--> Node(id = {h}) \
+                 into subgraph r"
+            );
+            assert_eq!(sizes(&mut db, &q), (h + 1, h), "{q}");
+        }
+        // One hop too many for an exact count: no match at all.
+        let q = format!(
+            "select * from graph Node(id = 0) --next--> Node() \
+             {{ --next--> Node() }}{{{}}} --> Node() --next--> Node(id = {h}) into subgraph r",
+            h - 1
+        );
+        assert_eq!(sizes(&mut db, &q), (0, 0), "{q}");
+    }
+}
+
+/// The probe forms on the 101-vertex chain: each returns the whole path,
+/// 101 vertices and 100 edges.
+#[test]
+fn chain_of_one_hundred_hops_is_not_truncated() {
+    let mut db = chain(101);
+    for (quant, exit) in [
+        ("*", "Node(id = 100)"),
+        ("+", "Node()"),
+        ("{0,110}", "Node()"),
+        ("{100}", "Node()"),
+    ] {
+        let q = group_query("Node(id = 0)", quant, exit);
+        assert_eq!(sizes(&mut db, &q), (101, 100), "{q}");
+    }
+}
+
+/// Exact and ranged counts around a 2-cycle (2 vertices, 2 edges) and a
+/// 3-cycle (3 vertices, 3 edges), seeded at node 0 and pinned at a target.
+#[test]
+fn cycles_count_repetitions_exactly() {
+    for (k, quant, target, expect) in [
+        (2, "{3}", 1, (2, 2)),
+        (2, "{3}", 0, (0, 0)),
+        (2, "{4}", 0, (2, 2)),
+        (2, "{1}", 1, (2, 1)),
+        (2, "{2,3}", 0, (2, 2)),
+        (2, "{2,3}", 1, (2, 2)),
+        (3, "{1}", 1, (2, 1)),
+        (3, "{4}", 1, (3, 3)),
+        (3, "{4}", 0, (0, 0)),
+        (3, "{4}", 2, (0, 0)),
+        (3, "{1,2}", 2, (3, 2)),
+        (3, "{3,4}", 0, (3, 3)),
+        (3, "{3,4}", 1, (3, 3)),
+        (3, "{3,4}", 2, (0, 0)),
+        (3, "{70}", 1, (3, 3)),
+        (3, "{70}", 2, (0, 0)),
+    ] {
+        let mut db = cycle(k);
+        let q = group_query("Node(id = 0)", quant, &format!("Node(id = {target})"));
+        assert_eq!(sizes(&mut db, &q), expect, "{k}-cycle: {q}");
+    }
+    // Backward only: on the 3-cycle, exactly 4 hops end at node 1 only
+    // from node 0, whose walk covers the cycle.
+    let mut db = cycle(3);
+    let q = group_query("Node()", "{4}", "Node(id = 1)");
+    assert_eq!(sizes(&mut db, &q), (3, 3), "{q}");
+}
+
+/// A huge finite bound on a 2-cycle selects what `*` selects (2 vertices,
+/// 2 edges) and stays fast: past `2·(lo+1)·|V|` repetitions nothing new can
+/// be selected, so the bound is evaluated as unbounded.
+#[test]
+fn huge_finite_bound_on_a_cycle_equals_star() {
+    let mut db = cycle(2);
+    let star = sizes(&mut db, &group_query("Node(id = 0)", "*", "Node()"));
+    assert_eq!(star, (2, 2));
+    let started = std::time::Instant::now();
+    let huge = sizes(
+        &mut db,
+        &group_query("Node(id = 0)", "{0,1000000000}", "Node()"),
+    );
+    assert!(
+        started.elapsed() < std::time::Duration::from_secs(1),
+        "{:?}",
+        started.elapsed()
+    );
+    assert_eq!(huge, star);
+}
+
+/// Edge conditions on a group's hops filter the walk like they filter a
+/// plain hop: `dst < 5` stops the chain at node 4.
+#[test]
+fn edge_conditions_inside_groups_apply() {
+    let mut db = chain(10);
+    let q = "select * from graph Node(id = 0) { --next(dst < 5)--> Node() }* --> Node() \
+             into subgraph r";
+    assert_eq!(sizes(&mut db, q), (5, 4), "{q}");
+}
+
+/// An exit reached by zero repetitions need not meet the hop condition,
+/// but walking back from it must: node 3 (t0) is matched alone, not with
+/// the entries that would reach it through a t0 landing.
+#[test]
+fn backward_cull_conditions_the_exit_it_leaves() {
+    let mut db = chain(10);
+    let q = "select * from graph Node() { --next--> Node(tag != 't0') }* --> Node(id = 3) \
+             into subgraph r";
+    assert_eq!(sizes(&mut db, q), (1, 0), "{q}");
+}
+
+/// A huge *exact* count is evaluated exactly, so its states grow with the
+/// count; under a byte budget it fails with the typed budget error
+/// (E0910) instead of being clamped.
+#[test]
+fn huge_exact_count_fails_with_the_byte_budget() {
+    let mut db = cycle(2);
+    db.config_mut().budget.max_query_bytes = Some(64 * 1024);
+    let err = db
+        .execute_str(&group_query("Node(id = 0)", "{1000000000}", "Node()"))
+        .unwrap_err();
+    assert!(matches!(err, graql_types::GraqlError::Budget(_)), "{err:?}");
+}

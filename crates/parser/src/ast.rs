@@ -235,11 +235,12 @@ pub enum Quant {
 }
 
 impl Quant {
-    pub fn bounds(self, max_cap: u32) -> (u32, u32) {
+    /// Repetition bounds `(lo, hi)`; `hi` is `None` for `*` and `+`.
+    pub fn bounds(self) -> (u32, Option<u32>) {
         match self {
-            Quant::Star => (0, max_cap),
-            Quant::Plus => (1, max_cap),
-            Quant::Range(a, b) => (a, b),
+            Quant::Star => (0, None),
+            Quant::Plus => (1, None),
+            Quant::Range(a, b) => (a, Some(b)),
         }
     }
 }

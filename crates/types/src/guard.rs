@@ -42,11 +42,6 @@ impl QueryBudget {
         max_result_rows: None,
         max_query_bytes: None,
     };
-
-    /// True when no limit is configured (cancellation still works).
-    pub fn is_unlimited(&self) -> bool {
-        *self == QueryBudget::UNLIMITED
-    }
 }
 
 /// Shared cancel flag + deadline + row/byte accounting for one query.

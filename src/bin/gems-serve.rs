@@ -341,7 +341,8 @@ fn main() -> ExitCode {
 
     // The budget lives on the database config (single source of truth):
     // the net layer folds in its per-request deadline, and `check`
-    // requests see a governed catalog so W0303 stays quiet.
+    // requests see it, so W0303 stays quiet once a deadline or a byte cap
+    // is configured.
     server.set_query_budget(budget);
     for (name, role) in users {
         if let Err(e) = server.create_user(&name, role) {

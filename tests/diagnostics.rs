@@ -203,8 +203,9 @@ fn paper_scripts_check_clean() {
     let q = graql::bsbm::graph_ddl();
     let diags = db.check_script_str(q);
     assert!(diags.is_empty(), "graph DDL:\n{}", diags.render(q, "ddl"));
-    // The query corpus, checked under a governed configuration (a budget
-    // is how deployments silence W0303; the figures use `*` repetitions).
+    // The query corpus, checked under a governed configuration (a deadline
+    // or byte budget is how deployments silence W0303; the figures use `*`
+    // repetitions).
     let fig11 = graql::bsbm::queries::fig11();
     for src in [
         graql::bsbm::queries::q1(),
@@ -217,7 +218,7 @@ fn paper_scripts_check_clean() {
         graql::bsbm::queries::fig13(),
     ] {
         let mut db = berlin_db();
-        db.config_mut().budget.max_result_rows = Some(1_000_000);
+        db.config_mut().budget.max_query_bytes = Some(1 << 30);
         let diags = db.check_script_str(src);
         assert!(diags.is_empty(), "{src}:\n{}", diags.render(src, "fig"));
     }
