@@ -4,7 +4,7 @@
 //! ([`crate::analyze::resolve`]) made: every column is an id and every
 //! output name is fixed, so nothing here checks a name or a type.
 
-use graql_table::ops;
+use graql_table::ops::{self, AggFn};
 use graql_table::{ColumnDef, Table, TableSchema};
 use graql_types::obs::{obs_record_rows, obs_start, Stage};
 use graql_types::Result;
@@ -18,17 +18,18 @@ pub fn execute_table_select(ctx: &ExecCtx<'_>, plan: &TableSelect) -> Result<Tab
     let base = ctx.any_table(&plan.table)?;
     let cx = ctx.ops();
 
-    // 1. Selection.
+    // 1. Selection, gathering only the columns the shape reads.
+    let (cols, shape) = narrow(&plan.shape, base.n_cols());
     let filtered: Table = match &plan.filter {
         Some(w) => {
             let pred = compile_single_table(w, base.schema(), &[plan.table.as_str()], ctx.params)?;
-            ops::filter(base, &pred, &cx)?
+            ops::filter(base, &pred, &cols, &cx)?
         }
-        None => base.clone(),
+        None => ops::project(base, &cols)?,
     };
 
     // 2. Projection / aggregation, under the output names.
-    let mut out = match &plan.shape {
+    let mut out = match &shape {
         TableShape::Star => filtered,
         TableShape::Columns(cols) => {
             let span = obs_start(ctx.obs);
@@ -82,4 +83,37 @@ fn output(t: &Table, cols: &[usize], schema: &TableSchema) -> Result<Table> {
         .collect();
     let columns = cols.iter().map(|&c| t.shared_column(c).clone()).collect();
     Ok(Table::from_columns(TableSchema::new(defs)?, columns))
+}
+
+/// The source columns `shape` reads, ascending, and `shape` restated over
+/// a table of just those columns. The list is never empty, so the narrow
+/// table keeps the row count that `count(*)` reads.
+fn narrow(shape: &TableShape, n_cols: usize) -> (Vec<usize>, TableShape) {
+    let mut shape = shape.clone();
+    let mut reads: Vec<&mut usize> = match &mut shape {
+        TableShape::Star => return ((0..n_cols).collect(), TableShape::Star),
+        TableShape::Columns(cols) => cols.iter_mut().collect(),
+        TableShape::Grouped { groups, aggs, .. } => groups
+            .iter_mut()
+            .chain(aggs.iter_mut().filter_map(|a| input(&mut a.func)))
+            .collect(),
+    };
+    let mut cols: Vec<usize> = reads.iter().map(|c| **c).collect();
+    cols.sort_unstable();
+    cols.dedup();
+    if cols.is_empty() {
+        cols.push(0);
+    }
+    for c in &mut reads {
+        **c = cols.binary_search(&**c).expect("a read column is gathered");
+    }
+    (cols, shape)
+}
+
+/// The column an aggregate reads, if any.
+fn input(f: &mut AggFn) -> Option<&mut usize> {
+    match f {
+        AggFn::CountStar => None,
+        AggFn::Count(c) | AggFn::Sum(c) | AggFn::Avg(c) | AggFn::Min(c) | AggFn::Max(c) => Some(c),
+    }
 }

@@ -1,6 +1,8 @@
 //! End-to-end engine tests over a miniature Berlin-style dataset, covering
 //! the paper's query constructs figure by figure.
 
+use std::sync::Arc;
+
 use graql_core::{Database, QueryOutput, StmtOutput};
 use graql_types::Value;
 
@@ -556,6 +558,53 @@ fn relational_where_distinct() {
             .unwrap(),
     );
     assert_eq!(t.n_rows(), 2, "m1 (twice→once) and m2");
+}
+
+/// A filtered select copies codes and shares its source's string
+/// dictionaries. A later ingest copies a shared dictionary before growing
+/// it, so the kept result reads as it did and every old string keeps its
+/// code.
+#[test]
+fn filtered_select_shares_dictionaries_across_ingest() {
+    let mut db = mini_berlin();
+    let kept = table_of(
+        db.execute_str("select label, producer from table Products where propertyNumeric_1 < 35")
+            .unwrap(),
+    );
+    let base = db.table("Products").unwrap();
+    for (out, src) in [(0, 1), (1, 2)] {
+        let (shared, source) = (kept.column(out).str_dict(), base.column(src).str_dict());
+        assert!(
+            Arc::ptr_eq(shared.unwrap(), source.unwrap()),
+            "column {src}"
+        );
+    }
+    let dict_lens = |t: &graql_table::Table| -> Vec<usize> {
+        (0..2)
+            .map(|c| t.column(c).str_dict().unwrap().len())
+            .collect()
+    };
+    let (rendered, lens) = (kept.render(), dict_lens(&kept));
+    let codes = |t: &graql_table::Table, c: usize| -> Vec<Option<u32>> {
+        (0..4).map(|r| t.column(c).str_code(r)).collect()
+    };
+    let old_codes = [codes(base, 1), codes(base, 2)];
+
+    // One new label and producer, one repeated of each.
+    db.ingest_str("Products", "p5,Epsilon,m9,50\np6,Alpha,m1,60\n")
+        .unwrap();
+    assert_eq!(kept.render(), rendered, "the kept result reads as it did");
+    assert_eq!(dict_lens(&kept), lens, "its dictionaries did not grow");
+    let base = db.table("Products").unwrap();
+    assert_eq!(col_strings(base, 1)[3..], ["Delta", "Epsilon", "Alpha"]);
+    assert_eq!(col_strings(base, 2)[3..], ["m3", "m9", "m1"]);
+    assert_eq!(
+        [codes(base, 1), codes(base, 2)],
+        old_codes,
+        "old strings keep their codes"
+    );
+    assert_eq!(base.column(1).str_code(5), base.column(1).str_code(0));
+    assert_eq!(base.column(2).str_code(5), base.column(2).str_code(0));
 }
 
 /// Check-clean selects whose output names the kernels could not hold

@@ -4,7 +4,7 @@
 //! project onto the key columns, and create **one vertex instance per
 //! distinct key combination**.
 
-use graql_table::ops::{filter_indices, group_indices, OpCtx};
+use graql_table::ops::{filter_indices, group_indices, project, OpCtx};
 use graql_table::{PhysExpr, Table};
 use graql_types::{GraqlError, Result, Value};
 use rustc_hash::FxHashMap;
@@ -78,15 +78,13 @@ impl VertexSet {
                 .iter()
                 .all(|&c| !table.column(c).is_null(r as usize))
         });
-        let view = table.gather(&selected);
-        let (reps, groups) = group_indices(&view, &key_cols, &OpCtx::default())?;
+        // Only the key columns are read: project, then gather.
+        let view = project(table, &key_cols)?.gather(&selected);
+        let all: Vec<usize> = (0..key_cols.len()).collect();
+        let (reps, groups) = group_indices(&view, &all, &OpCtx::default())?;
         // Translate view-local row indices back to source-table rows.
         let to_src = |i: u32| selected[i as usize];
-        let keys = {
-            let rep_rows: Vec<u32> = reps.clone();
-            let projected = graql_table::ops::project(&view, &key_cols)?;
-            projected.gather(&rep_rows)
-        };
+        let keys = view.gather(&reps);
         let one_to_one = groups.iter().all(|g| g.len() == 1);
         let mapping = if one_to_one {
             Mapping::OneToOne {

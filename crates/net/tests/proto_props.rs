@@ -6,13 +6,15 @@
 //! typed error — not silence.
 
 use std::io::Cursor;
+use std::sync::Arc;
 
 use graql_core::SessionOutput;
 use graql_net::frame::{read_frame, write_frame, FrameRead, MAX_FRAME};
 use graql_net::proto::{self, Msg, TableAssembler, BATCH_ROWS, PROTO_VERSION};
-use graql_table::{BatchColumn, BitSet, ColumnBatch, Table, TableSchema};
+use graql_table::ops::{self, OpCtx, SortKey};
+use graql_table::{BatchColumn, BitSet, ColumnBatch, PhysExpr, Table, TableSchema};
 use graql_types::failpoints::Faults;
-use graql_types::{DataType, Date, GraqlError, Value};
+use graql_types::{CmpOp, DataType, Date, GraqlError, Value};
 use proptest::prelude::*;
 
 /// A table that exercises every corner of the column-batch frame: nulls
@@ -244,6 +246,59 @@ proptest! {
                 prop_assert!(keys.insert(key.to_string()), "{:?} sent twice", key);
             }
         }
+    }
+
+    /// A subset made by filter, sort and top n shares the string
+    /// dictionaries of the table it came from, which hold far more strings
+    /// than the subset uses. Its stream is still the identity, and its
+    /// pages carry exactly the subset's distinct non-null strings: no
+    /// unused entry of a shared dictionary crosses the wire.
+    #[test]
+    fn column_batches_of_shared_dictionaries_round_trip(
+        seed in any::<u64>(),
+        n_rows in 600usize..1200,
+        threshold in any::<i64>(),
+        keep in prop_oneof![0usize..8, 0usize..2 * BATCH_ROWS + 1],
+    ) {
+        let base = corner_table(seed, n_rows);
+        let cx = OpCtx::default();
+        let every: Vec<usize> = (0..base.n_cols()).collect();
+        let at_least = PhysExpr::cmp_col_const(2, CmpOp::Ge, Value::Int(threshold));
+        let hits = ops::filter(&base, &at_least, &every, &cx).unwrap();
+        let sorted = ops::sort(&hits, &[SortKey::desc(3), SortKey::asc(0)], &cx).unwrap();
+        let t = ops::top_n(&sorted, keep, &cx);
+        let strs = [0, 1, 5];
+        for c in strs {
+            let (shared, source) = (t.column(c).str_dict(), base.column(c).str_dict());
+            prop_assert!(Arc::ptr_eq(shared.unwrap(), source.unwrap()));
+        }
+
+        let frames = proto::output_frames(seed, &SessionOutput::Table(t.clone()));
+        let back = assemble(&frames).unwrap();
+        prop_assert!(same_cells(&t, &back));
+        prop_assert_eq!(t.render(), back.render());
+        let mut sent = 0;
+        for f in &frames[1..frames.len() - 1] {
+            let Msg::TableRows { rows } = proto::decode_tagged(f).unwrap().1 else {
+                panic!("rows between header and end");
+            };
+            for c in strs {
+                let BatchColumn::Str { ends, .. } = &rows.columns[c] else {
+                    panic!("column {c} is varchar");
+                };
+                sent += ends.len();
+            }
+        }
+        let used: usize = strs
+            .iter()
+            .map(|&c| {
+                let col = t.column(c);
+                let distinct: std::collections::HashSet<Value> =
+                    (0..t.n_rows()).map(|i| col.get(i)).filter(|v| !v.is_null()).collect();
+                distinct.len()
+            })
+            .sum();
+        prop_assert_eq!(sent, used);
     }
 
     /// Every truncation of a batch frame is an error, and a frame with

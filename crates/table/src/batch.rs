@@ -252,6 +252,7 @@ mod tests {
         let codes = vec![3, 1, 3, 0, 2, 1, 3, 2];
         let mut nulls = BitSet::new(codes.len());
         nulls.insert(3);
+        let dict = std::sync::Arc::new(dict);
         let col = Column::Str { dict, codes, nulls };
         let t = Table::from_columns(TableSchema::of(&[("s", DataType::Varchar(4))]), vec![col]);
 

@@ -1,9 +1,11 @@
 //! Typed columnar storage.
 //!
-//! One [`Column`] per declared attribute. Strings are dictionary-encoded
-//! (`u32` code per row plus an `Arc<str>` dictionary) so that equality
-//! filters compare codes and row materialization clones an `Arc` instead of
-//! copying bytes. Nulls live in a per-column bitmask.
+//! One [`Column`] per declared attribute. Strings are dictionary-encoded:
+//! a `u32` code per row plus a shared, append-only [`StrDict`]. Equality
+//! filters compare codes, row materialization clones an `Arc<str>`
+//! instead of copying bytes, and [`Column::gather`] copies codes and
+//! clones the dictionary's `Arc`, so a filtered, sorted or projected
+//! column never touches a string. Nulls live in a per-column bitmask.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -14,6 +16,15 @@ use rustc_hash::FxHashMap;
 use crate::bitset::BitSet;
 
 /// Dictionary for a string column: code → `Arc<str>` plus reverse lookup.
+///
+/// A column holds its dictionary behind an `Arc`, and every column
+/// gathered from it (filter, sort, distinct, top, views, results) holds
+/// the same one, so a dictionary may hold strings that no row of a given
+/// column uses. It only grows: a code, once assigned, names the same
+/// string for the dictionary's lifetime. A writer interns through
+/// `Arc::make_mut`, in place while it holds the only `Arc` and into a
+/// copy otherwise, so a pinned epoch or a kept result goes on resolving
+/// every code it holds.
 ///
 /// Strings are distinct as long as they arrive through
 /// [`StrDict::intern`]. [`StrDict::extend_unindexed`] trusts its caller
@@ -109,7 +120,7 @@ pub enum Column {
         nulls: BitSet,
     },
     Str {
-        dict: StrDict,
+        dict: Arc<StrDict>,
         codes: Vec<u32>,
         nulls: BitSet,
     },
@@ -132,7 +143,7 @@ impl Column {
                 nulls: BitSet::new(0),
             },
             DataType::Varchar(_) => Column::Str {
-                dict: StrDict::default(),
+                dict: Arc::default(),
                 codes: Vec::new(),
                 nulls: BitSet::new(0),
             },
@@ -183,7 +194,7 @@ impl Column {
                 nulls.push_bit(false);
             }
             (Column::Str { dict, codes, nulls }, Value::Str(s)) => {
-                codes.push(dict.intern(s));
+                codes.push(Arc::make_mut(dict).intern(s));
                 nulls.push_bit(false);
             }
             (Column::Date { data, nulls }, Value::Date(d)) => {
@@ -293,7 +304,7 @@ impl Column {
                     nulls: sn,
                 },
             ) => {
-                let mut remap = vec![UNSEEN; sd.len()];
+                let (dict, mut remap) = (Arc::make_mut(dict), vec![UNSEEN; sd.len()]);
                 remap_codes(sc, sn, range.clone(), &mut remap, codes, |c| {
                     dict.intern(sd.resolve(c))
                 });
@@ -307,15 +318,20 @@ impl Column {
         }
     }
 
-    /// True if row `i` holds null.
-    #[inline]
-    pub fn is_null(&self, i: usize) -> bool {
+    /// The column's null mask.
+    fn nulls(&self) -> &BitSet {
         match self {
             Column::Int { nulls, .. }
             | Column::Float { nulls, .. }
             | Column::Str { nulls, .. }
-            | Column::Date { nulls, .. } => nulls.contains(i),
+            | Column::Date { nulls, .. } => nulls,
         }
+    }
+
+    /// True if row `i` holds null.
+    #[inline]
+    pub fn is_null(&self, i: usize) -> bool {
+        self.nulls().contains(i)
     }
 
     /// Materializes row `i` as a [`Value`]. String values are `Arc` clones.
@@ -331,8 +347,9 @@ impl Column {
         }
     }
 
-    /// The string dictionary, for string columns.
-    pub fn str_dict(&self) -> Option<&StrDict> {
+    /// The string dictionary, for string columns: shared with every
+    /// column gathered from this one (`Arc::ptr_eq` tells).
+    pub fn str_dict(&self) -> Option<&Arc<StrDict>> {
         match self {
             Column::Str { dict, .. } => Some(dict),
             _ => None,
@@ -380,143 +397,84 @@ impl Column {
         if k.is_null() {
             return true; // null compares with nothing: empty selection
         }
+        #[inline]
+        fn sweep(
+            nulls: &BitSet,
+            lo: u32,
+            hi: u32,
+            out: &mut Vec<u32>,
+            hit: impl Fn(usize) -> bool,
+        ) -> bool {
+            out.extend((lo..hi).filter(|&i| !nulls.contains(i as usize) && hit(i as usize)));
+            true
+        }
+        let nulls = self.nulls();
         match (self, k) {
-            (Column::Int { data, nulls }, Value::Int(k)) => {
-                for i in lo..hi {
-                    let u = i as usize;
-                    if !nulls.contains(u) && keep(op, data[u].cmp(k)) {
-                        out.push(i);
-                    }
-                }
-                true
+            (Column::Int { data, .. }, Value::Int(k)) => {
+                sweep(nulls, lo, hi, out, |u| keep(op, data[u].cmp(k)))
             }
-            (Column::Int { data, nulls }, Value::Float(k)) => {
-                for i in lo..hi {
-                    let u = i as usize;
-                    if !nulls.contains(u) && keep(op, (data[u] as f64).total_cmp(k)) {
-                        out.push(i);
-                    }
-                }
-                true
+            (Column::Int { data, .. }, Value::Float(k)) => sweep(nulls, lo, hi, out, |u| {
+                keep(op, (data[u] as f64).total_cmp(k))
+            }),
+            (Column::Float { data, .. }, Value::Float(k)) => {
+                sweep(nulls, lo, hi, out, |u| keep(op, data[u].total_cmp(k)))
             }
-            (Column::Float { data, nulls }, Value::Float(k)) => {
-                for i in lo..hi {
-                    let u = i as usize;
-                    if !nulls.contains(u) && keep(op, data[u].total_cmp(k)) {
-                        out.push(i);
-                    }
-                }
-                true
-            }
-            (Column::Float { data, nulls }, Value::Int(k)) => {
+            (Column::Float { data, .. }, Value::Int(k)) => {
                 let kf = *k as f64;
-                for i in lo..hi {
-                    let u = i as usize;
-                    if !nulls.contains(u) && keep(op, data[u].total_cmp(&kf)) {
-                        out.push(i);
-                    }
-                }
-                true
+                sweep(nulls, lo, hi, out, |u| keep(op, data[u].total_cmp(&kf)))
             }
-            (Column::Date { data, nulls }, Value::Date(d)) => {
+            (Column::Date { data, .. }, Value::Date(d)) => {
                 let kd = d.days();
-                for i in lo..hi {
-                    let u = i as usize;
-                    if !nulls.contains(u) && keep(op, data[u].cmp(&kd)) {
-                        out.push(i);
-                    }
-                }
-                true
+                sweep(nulls, lo, hi, out, |u| keep(op, data[u].cmp(&kd)))
             }
-            (Column::Str { dict, codes, nulls }, Value::Str(s)) => {
-                // Decide once per dictionary code, then sweep the codes.
-                let pass: Vec<bool> = (0..dict.len() as u32)
-                    .map(|c| keep(op, dict.resolve(c).as_ref().cmp(s.as_ref())))
-                    .collect();
-                for i in lo..hi {
-                    let u = i as usize;
-                    if !nulls.contains(u) && pass[codes[u] as usize] {
-                        out.push(i);
-                    }
+            (Column::Str { dict, codes, .. }, Value::Str(s)) => {
+                let test = |c: u32| keep(op, dict.resolve(c).as_ref().cmp(s.as_ref()));
+                // A shared dictionary can outnumber the rows swept: decide
+                // once per code only when that is the fewer comparisons.
+                if dict.len() <= (hi - lo) as usize {
+                    let pass: Vec<bool> = (0..dict.len() as u32).map(test).collect();
+                    sweep(nulls, lo, hi, out, |u| pass[codes[u] as usize])
+                } else {
+                    sweep(nulls, lo, hi, out, |u| test(codes[u]))
                 }
-                true
             }
             _ => false,
         }
     }
 
-    /// A new column containing rows `indices` in order.
+    /// A new column containing rows `indices` in order: values, codes and
+    /// null bits are copied; a string column shares this one's dictionary.
     pub fn gather(&self, indices: &[u32]) -> Column {
-        let mut out = Column::new(self.dtype());
-        match (&mut out, self) {
-            (
-                Column::Int { data, nulls },
-                Column::Int {
-                    data: src,
-                    nulls: sn,
-                },
-            ) => {
-                data.reserve(indices.len());
-                for &i in indices {
-                    data.push(src[i as usize]);
-                    nulls.push_bit(sn.contains(i as usize));
-                }
-            }
-            (
-                Column::Float { data, nulls },
-                Column::Float {
-                    data: src,
-                    nulls: sn,
-                },
-            ) => {
-                data.reserve(indices.len());
-                for &i in indices {
-                    data.push(src[i as usize]);
-                    nulls.push_bit(sn.contains(i as usize));
-                }
-            }
-            (
-                Column::Str { dict, codes, nulls },
-                Column::Str {
-                    dict: sd,
-                    codes: sc,
-                    nulls: sn,
-                },
-            ) => {
-                codes.reserve(indices.len());
-                // Remap codes through a cache so the output dictionary only
-                // holds strings that actually occur in the gathered rows.
-                let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
-                for &i in indices {
-                    let i = i as usize;
-                    if sn.contains(i) {
-                        codes.push(0);
-                        nulls.push_bit(true);
-                    } else {
-                        let code = *remap
-                            .entry(sc[i])
-                            .or_insert_with(|| dict.intern(sd.resolve(sc[i])));
-                        codes.push(code);
-                        nulls.push_bit(false);
-                    }
-                }
-            }
-            (
-                Column::Date { data, nulls },
-                Column::Date {
-                    data: src,
-                    nulls: sn,
-                },
-            ) => {
-                data.reserve(indices.len());
-                for &i in indices {
-                    data.push(src[i as usize]);
-                    nulls.push_bit(sn.contains(i as usize));
-                }
-            }
-            _ => unreachable!("gather output column was constructed with the same dtype"),
+        fn pick<T: Copy>(src: &[T], indices: &[u32]) -> Vec<T> {
+            indices.iter().map(|&i| src[i as usize]).collect()
         }
-        out
+        let (src, mut nulls) = (self.nulls(), BitSet::new(indices.len()));
+        if !src.none() {
+            for (k, &i) in indices.iter().enumerate() {
+                if src.contains(i as usize) {
+                    nulls.insert(k);
+                }
+            }
+        }
+        match self {
+            Column::Int { data, .. } => Column::Int {
+                data: pick(data, indices),
+                nulls,
+            },
+            Column::Float { data, .. } => Column::Float {
+                data: pick(data, indices),
+                nulls,
+            },
+            Column::Str { dict, codes, .. } => Column::Str {
+                dict: dict.clone(),
+                codes: pick(codes, indices),
+                nulls,
+            },
+            Column::Date { data, .. } => Column::Date {
+                data: pick(data, indices),
+                nulls,
+            },
+        }
     }
 }
 
@@ -575,17 +533,70 @@ mod tests {
     }
 
     #[test]
-    fn gather_reorders_and_compacts_dictionary() {
+    fn gather_shares_the_dictionary() {
         let mut c = Column::new(DataType::Varchar(4));
-        for s in ["a", "b", "c", "d"] {
-            c.push(&Value::str(s)).unwrap();
+        for s in [
+            Value::str("a"),
+            Value::str("b"),
+            Value::Null,
+            Value::str("d"),
+        ] {
+            c.push(&s).unwrap();
         }
-        let g = c.gather(&[3, 1, 3]);
-        assert_eq!(g.len(), 3);
+        let g = c.gather(&[3, 1, 2, 3]);
+        assert_eq!(g.len(), 4);
         assert_eq!(g.get(0), Value::str("d"));
         assert_eq!(g.get(1), Value::str("b"));
-        assert_eq!(g.get(2), Value::str("d"));
-        assert_eq!(g.str_dict().unwrap().len(), 2); // only b and d remain
+        assert!(g.get(2).is_null());
+        assert_eq!(g.str_code(2), None);
+        assert_eq!(g.get(3), Value::str("d"));
+        // Codes are copied, not re-interned: the gathered column holds the
+        // source's dictionary, unused "a" included.
+        assert!(Arc::ptr_eq(g.str_dict().unwrap(), c.str_dict().unwrap()));
+        assert_eq!(g.str_code(0), c.str_code(3));
+        assert_eq!(g.str_dict().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn appending_to_a_shared_dictionary_copies_it_once() {
+        let mut base = Column::new(DataType::Varchar(4));
+        for s in ["a", "b", "c"] {
+            base.push(&Value::str(s)).unwrap();
+        }
+        let kept = base.gather(&[2, 0]);
+        let before: Vec<u32> = (0..3).map(|i| base.str_code(i).unwrap()).collect();
+        // The first push meets a shared dictionary and copies it; the
+        // second finds the copy unique and interns in place.
+        base.push(&Value::str("new")).unwrap();
+        let copy = Arc::as_ptr(base.str_dict().unwrap());
+        assert_ne!(copy, Arc::as_ptr(kept.str_dict().unwrap()));
+        base.push(&Value::str("a")).unwrap();
+        base.push(&Value::str("newer")).unwrap();
+        assert_eq!(
+            Arc::as_ptr(base.str_dict().unwrap()),
+            copy,
+            "grown in place"
+        );
+        assert_eq!(
+            kept.str_dict().unwrap().len(),
+            3,
+            "the kept column's dictionary is untouched"
+        );
+        assert_eq!(
+            (kept.get(0), kept.get(1)),
+            (Value::str("c"), Value::str("a"))
+        );
+        assert_eq!(base.str_dict().unwrap().len(), 5);
+        let after: Vec<u32> = (0..3).map(|i| base.str_code(i).unwrap()).collect();
+        assert_eq!(before, after, "old strings keep their codes");
+        assert_eq!(
+            base.str_code(4),
+            base.str_code(0),
+            "a repeated string reuses its code"
+        );
+        let all: Vec<Value> = (0..base.len()).map(|i| base.get(i)).collect();
+        let want = ["a", "b", "c", "new", "a", "newer"].map(Value::str);
+        assert_eq!(all, want);
     }
 
     #[test]

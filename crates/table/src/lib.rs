@@ -21,7 +21,7 @@
 //!
 //! // select city from t where pop > 1000000 order by pop desc
 //! let cx = OpCtx::default(); // ungoverned, unprofiled, one thread
-//! let big = ops::filter(&t, &PhysExpr::cmp_col_const(1, CmpOp::Gt, Value::Int(1_000_000)), &cx).unwrap();
+//! let big = ops::filter(&t, &PhysExpr::cmp_col_const(1, CmpOp::Gt, Value::Int(1_000_000)), &[0, 1], &cx).unwrap();
 //! let sorted = ops::sort(&big, &[ops::SortKey::desc(1)], &cx).unwrap();
 //! assert_eq!(sorted.get(0, 0), Value::str("rome"));
 //! assert_eq!(sorted.n_rows(), 2);

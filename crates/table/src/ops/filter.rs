@@ -18,13 +18,16 @@ pub fn filter_indices(t: &Table, pred: &PhysExpr) -> Vec<u32> {
     out
 }
 
-/// Materialized selection as a morsel-parallel columnar scan: each morsel
-/// sweeps its row range through the typed batch kernel
-/// ([`PhysExpr::eval_range_into`]) after a cooperative cancel/deadline
-/// check; hit lists concatenate in morsel order, so the output is the
-/// serial scan's byte for byte at any thread count. The selection vector
-/// and the gathered output are charged against the memory budget.
-pub fn filter(t: &Table, pred: &PhysExpr, cx: &OpCtx) -> Result<Table> {
+/// Selection, materialized late: a morsel-parallel columnar scan makes
+/// the selection vector, then only columns `cols` (in that order) are
+/// gathered at it. Each morsel sweeps its row range through the typed
+/// batch kernel ([`PhysExpr::eval_range_into`]) after a cooperative
+/// cancel/deadline check; hit lists concatenate in morsel order, so the
+/// output is the serial scan's byte for byte at any thread count. The
+/// selection vector and the gathered output are charged against the
+/// memory budget, and one span covers the sweep and the gather. A
+/// repeated column is a [`graql_types::GraqlError::Name`].
+pub fn filter(t: &Table, pred: &PhysExpr, cols: &[usize], cx: &OpCtx) -> Result<Table> {
     let span = obs_start(cx.obs);
     let n = t.n_rows();
     let workers = morsel::scan_workers(cx.threads, n, morsel::PAR_MIN_ITEMS);
@@ -35,7 +38,7 @@ pub fn filter(t: &Table, pred: &PhysExpr, cx: &OpCtx) -> Result<Table> {
     })?;
     let idx = morsel::concat(parts);
     cx.guard.add_bytes(4 * idx.len() as u64)?;
-    let out = t.gather(&idx);
+    let out = super::project(t, cols)?.gather(&idx);
     cx.guard.add_bytes(out.approx_bytes())?;
     obs_record_rows(cx.obs, Stage::Filter, span, n as u64, out.n_rows() as u64);
     Ok(out)
@@ -68,9 +71,9 @@ mod tests {
                 ..OpCtx::default()
             };
             let lt5 = PhysExpr::cmp_col_const(0, CmpOp::Lt, Value::Int(5));
-            let sel = filter(&t, &lt5, &cx).unwrap();
+            let sel = filter(&t, &lt5, &[0], &cx).unwrap();
             assert_eq!(sel.n_rows(), 5);
-            let all = filter(&t, &PhysExpr::always(), &cx).unwrap();
+            let all = filter(&t, &PhysExpr::always(), &[0], &cx).unwrap();
             assert_eq!(all.n_rows(), 10_000);
             assert!(
                 (1..10_000).all(|i| all.get(i - 1, 0) < all.get(i, 0)),
@@ -115,10 +118,23 @@ mod tests {
     }
 
     #[test]
+    fn filter_gathers_only_the_named_columns() {
+        let schema = TableSchema::of(&[("x", DataType::Integer), ("s", DataType::Varchar(4))]);
+        let rows = (0..10).map(|i| vec![Value::Int(i), Value::str(format!("s{i}"))]);
+        let t = Table::from_rows(schema, rows).unwrap();
+        let ge7 = PhysExpr::cmp_col_const(0, CmpOp::Ge, Value::Int(7));
+        let f = filter(&t, &ge7, &[1], &OpCtx::default()).unwrap();
+        assert_eq!((f.n_cols(), f.schema().column(0).name.as_str()), (1, "s"));
+        let got: Vec<Value> = f.iter_rows().flatten().collect();
+        assert_eq!(got, ["s7", "s8", "s9"].map(Value::str));
+        assert!(filter(&t, &ge7, &[1, 1], &OpCtx::default()).is_err());
+    }
+
+    #[test]
     fn filter_materializes() {
         let t = numbers(100);
         let eq42 = PhysExpr::cmp_col_const(0, CmpOp::Eq, Value::Int(42));
-        let f = filter(&t, &eq42, &OpCtx::default()).unwrap();
+        let f = filter(&t, &eq42, &[0], &OpCtx::default()).unwrap();
         assert_eq!(f.n_rows(), 1);
         assert_eq!(f.get(0, 0), Value::Int(42));
     }

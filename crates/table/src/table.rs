@@ -321,7 +321,7 @@ impl Table {
                         nulls: nl,
                     },
                 ) => {
-                    dict.extend_unindexed(page_entries(page, ends));
+                    Arc::make_mut(dict).extend_unindexed(page_entries(page, ends));
                     codes.extend_from_slice(c);
                     nulls.extend_from_range(nl, 0..n);
                 }

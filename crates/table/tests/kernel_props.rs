@@ -29,14 +29,15 @@ fn build(rows: &[(i64, Option<i64>)]) -> Table {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    // The default configuration, so `PROPTEST_CASES` sets the depth (the
+    // parallel-stress CI job raises it).
 
     /// filter == retain on the reference rows.
     #[test]
     fn filter_law(rows in arb_table(), threshold in -50i64..50) {
         let t = build(&rows);
         let pred = PhysExpr::cmp_col_const(1, CmpOp::Ge, Value::Int(threshold));
-        let got = ops::filter(&t, &pred, &OpCtx::default()).unwrap();
+        let got = ops::filter(&t, &pred, &[0, 1], &OpCtx::default()).unwrap();
         let expected: Vec<&(i64, Option<i64>)> =
             rows.iter().filter(|(_, v)| v.is_some_and(|v| v >= threshold)).collect();
         prop_assert_eq!(got.n_rows(), expected.len());
@@ -179,7 +180,7 @@ fn armed_profile_records_rows_in_and_out_per_stage() {
     let pred = PhysExpr::cmp_col_const(1, CmpOp::Ge, Value::Int(4));
     let aggs = [ops::AggSpec::new(ops::AggFn::CountStar, "n")];
     let run = |cx: &OpCtx| {
-        let filtered = ops::filter(&t, &pred, cx).unwrap();
+        let filtered = ops::filter(&t, &pred, &[0, 1], cx).unwrap();
         let keys = ops::project(&filtered, &[0]).unwrap();
         let distinct = ops::distinct(&keys, cx).unwrap();
         let grouped = ops::group_aggregate(&filtered, &[0], &aggs, cx).unwrap();

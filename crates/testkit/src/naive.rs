@@ -140,7 +140,7 @@ mod tests {
         let cx = OpCtx::default();
         let picked = filter_indices(&t, &pred);
         assert_eq!(picked, ops::filter_indices(&t, &pred));
-        let engine = ops::filter(&t, &pred, &cx).unwrap();
+        let engine = ops::filter(&t, &pred, &(0..t.n_cols()).collect::<Vec<_>>(), &cx).unwrap();
         assert!(t.gather(&picked).iter_rows().eq(engine.iter_rows()));
         assert_eq!(
             join_pairs(&t, &[0], &t, &[0]),

@@ -108,7 +108,7 @@ fn run_case(seed: u64) {
         match rng.below(6) {
             0 => {
                 let pred = random_pred(&mut rng, &t);
-                let engine = ops::filter(&t, &pred, &cx).unwrap();
+                let engine = ops::filter(&t, &pred, &every_column(&t), &cx).unwrap();
                 let reference = t.gather(&naive::filter_indices(&t, &pred));
                 assert_same_rows(
                     &engine,
@@ -192,6 +192,11 @@ fn big_table() -> Table {
     .unwrap()
 }
 
+/// Every column of `t`, for a filter that gathers them all.
+fn every_column(t: &Table) -> Vec<usize> {
+    (0..t.n_cols()).collect()
+}
+
 fn at_threads(threads: usize) -> OpCtx<'static> {
     OpCtx {
         threads,
@@ -209,7 +214,7 @@ fn parallel_filter_matches_naive() {
     let reference = t.gather(&naive::filter_indices(&t, &pred));
     assert!(reference.n_rows() > 4096, "hits span several morsels");
     for threads in [1, 2, 4] {
-        let engine = ops::filter(&t, &pred, &at_threads(threads)).unwrap();
+        let engine = ops::filter(&t, &pred, &every_column(&t), &at_threads(threads)).unwrap();
         assert_same_rows(&engine, &reference, &format!("filter @ {threads} threads"));
     }
 }
