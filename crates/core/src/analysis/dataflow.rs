@@ -20,14 +20,18 @@
 //! * `W0206` — an `or`-branch (or a whole pattern) whose step conditions
 //!   make it unsatisfiable: a dead pattern branch.
 //! * `H0203` — catalog statistics estimate an operator's intermediate
-//!   result above [`super::cost::LARGE_PLAN_THRESHOLD`] rows.
+//!   result above [`super::cost::LARGE_PLAN_THRESHOLD`] rows. The estimate
+//!   is [`super::cost::path_rows`] over the branches the resolver
+//!   produced, the one `explain` prints.
 
 use std::cmp::Ordering;
 
-use graql_parser::ast::{Expr, Lit, Operand, PathComposition};
+use graql_parser::ast::{Dir, Expr, Lit, Operand, PathComposition};
 use graql_types::{codes, CmpOp, Diagnostic, Diagnostics, Span, Value};
 
+use crate::analyze::resolve::GraphSelect;
 use crate::catalog::{Catalog, CatalogStats};
+use crate::compile::{CLink, CQuery};
 use crate::cond::{lit_value, Params};
 
 use super::cost;
@@ -289,11 +293,12 @@ fn walk(e: &Expr, ranges: bool, always_false: &mut Diagnostics, flow: &mut Diagn
 /// Checks the step conditions of a graph select (at `span`) branch by
 /// branch: the predicate diagnostics of each condition, `W0206` for a
 /// branch some condition makes unsatisfiable, and — with graph statistics
-/// — the `H0203` bound.
+/// and the select's error-free resolution `plan` — the `H0203` bound.
 pub(crate) fn check_graph(
     work: &Catalog,
     stats: Option<&CatalogStats>,
     comp: &PathComposition,
+    plan: Option<&GraphSelect>,
     span: Span,
     always_false: &mut Diagnostics,
     flow: &mut Diagnostics,
@@ -335,29 +340,48 @@ pub(crate) fn check_graph(
 
     // Statistics-backed cardinality bounds (H0203). Only meaningful once
     // the graph sections of the catalog statistics exist.
-    let Some(st) = stats.filter(|s| s.graph_complete) else {
+    let (Some(st), Some(plan)) = (stats.filter(|s| s.graph_complete), plan) else {
         return;
     };
-    for branch in &branches {
-        let costly = cost::estimate_paths(work, st, &branch.paths())
-            .into_iter()
-            .find(|(_, rows)| *rows > cost::LARGE_PLAN_THRESHOLD);
-        if let Some((desc, rows)) = costly {
-            flow.push(
-                Diagnostic::hint(
-                    codes::COSTLY_TRAVERSAL,
-                    format!(
-                        "catalog statistics estimate ~{} intermediate rows at {desc}",
-                        cost::fmt_rows(rows)
-                    ),
-                    span,
-                )
-                .with_note(
-                    "consider tighter step conditions, a bounded quantifier, or a \
-                     more selective start step",
+    if let Some((desc, rows)) = plan.branches.iter().find_map(|q| costly_step(work, st, q)) {
+        flow.push(
+            Diagnostic::hint(
+                codes::COSTLY_TRAVERSAL,
+                format!(
+                    "catalog statistics estimate ~{} intermediate rows at {desc}",
+                    cost::fmt_rows(rows)
                 ),
-            );
-            return;
-        }
+                span,
+            )
+            .with_note(
+                "consider tighter step conditions, a bounded quantifier, or a \
+                 more selective start step",
+            ),
+        );
     }
+}
+
+/// The first operator of a resolved branch whose estimated output is
+/// above [`cost::LARGE_PLAN_THRESHOLD`], described, with its estimate.
+fn costly_step(work: &Catalog, stats: &CatalogStats, q: &CQuery) -> Option<(String, f64)> {
+    for (p, rows) in q.paths.iter().zip(cost::path_rows(work, stats, q)) {
+        let Some(i) = rows.iter().position(|&r| r > cost::LARGE_PLAN_THRESHOLD) else {
+            continue;
+        };
+        let v = &p.vsteps[i].display;
+        let desc = match i.checked_sub(1).map(|l| &p.links[l]) {
+            None => format!("vertex step {v}"),
+            Some(CLink::Edge(e)) => match e.dir {
+                Dir::Out => format!("hop --{}--> {v}", e.display),
+                Dir::In => format!("hop <--{}-- {v}", e.display),
+            },
+            Some(CLink::Group(g)) => match (g.lo, g.hi) {
+                (lo, Some(hi)) => format!("group {{{lo},{hi}}}"),
+                (0, None) => "group *".to_string(),
+                (_, None) => "group +".to_string(),
+            },
+        };
+        return Some((desc, rows[i]));
+    }
+    None
 }

@@ -13,9 +13,10 @@
 //!   required to produce byte-identical results to the original statement;
 //!   the soundness rules (null comparison semantics, parameter and group
 //!   preservation) are documented on [`rewrite::rewrite_select`].
-//! * [`cost`] — catalog-statistics-backed cardinality estimation used to
-//!   annotate `explain` plans with per-operator row estimates and to back
-//!   the `H0203` large-plan hint. Estimates read the persistent
+//! * [`cost`] — the one catalog-statistics-backed cardinality estimator:
+//!   it walks a resolved path query and feeds both `explain`'s
+//!   per-operator row estimates and the `H0203` large-plan hint, so the
+//!   two always agree. Estimates read the persistent
 //!   [`crate::catalog::CatalogStats`] store (per-type cardinalities,
 //!   degree means, per-column NDV).
 //!

@@ -143,22 +143,30 @@ pub fn check_script_with_stats(
     let mut rules = lint::Rules::new(stats, governed);
     let mut work = catalog.clone();
     for stmt in &script.statements {
-        let res = check_statement(&mut work, stmt, &mut Ctx::collecting(&mut sink));
-        if let Err(d) = res {
-            sink.push(d);
-        }
-        rules.check(&work, stmt);
+        let errors = sink.error_count();
+        let plan = check_statement(&mut work, stmt, &mut Ctx::collecting(&mut sink))
+            .unwrap_or_else(|d| {
+                sink.push(d);
+                None
+            });
+        let plan = plan.filter(|_| sink.error_count() == errors);
+        rules.check(&work, stmt, plan.as_ref());
     }
     // Errors come first in statement order, then each rule's findings.
     rules.finish(&mut sink);
     (work, sink)
 }
 
-/// Checks one statement, updating the working catalog. A returned `Err`
-/// is a problem the statement could not recover from (the entity was not
-/// registered); recoverable problems go through `ctx`.
-fn check_statement(work: &mut Catalog, stmt: &Stmt, ctx: &mut Ctx) -> DResult<()> {
-    match stmt {
+/// Checks one statement, updating the working catalog, and returns a
+/// graph select's resolution. A returned `Err` is a problem the statement
+/// could not recover from (the entity was not registered); recoverable
+/// problems go through `ctx`.
+fn check_statement(
+    work: &mut Catalog,
+    stmt: &Stmt,
+    ctx: &mut Ctx,
+) -> DResult<Option<resolve::GraphSelect>> {
+    let done = match stmt {
         Stmt::CreateTable(ct) => {
             let schema = TableSchema::new(
                 ct.columns
@@ -264,11 +272,11 @@ fn check_statement(work: &mut Catalog, stmt: &Stmt, ctx: &mut Ctx) -> DResult<()
             }
             Ok(())
         }
-        Stmt::Select(sel) => check_select(work, sel, ctx),
         // `profile` is analyzed exactly like the select underneath (the
         // parser already rejected `into`).
-        Stmt::Profile(sel) => check_select(work, sel, ctx),
-    }
+        Stmt::Select(sel) | Stmt::Profile(sel) => return check_select(work, sel, ctx),
+    };
+    done.map(|()| None)
 }
 
 /// Type environment of an edge `where` clause: qualifier → schema.
@@ -366,14 +374,23 @@ fn typecheck_edge_where(
 // Select analysis
 // ---------------------------------------------------------------------------
 
-fn check_select(work: &mut Catalog, sel: &ast::SelectStmt, ctx: &mut Ctx) -> DResult<()> {
-    let schema = match &sel.source {
+fn check_select(
+    work: &mut Catalog,
+    sel: &ast::SelectStmt,
+    ctx: &mut Ctx,
+) -> DResult<Option<resolve::GraphSelect>> {
+    let (schema, plan) = match &sel.source {
         ast::SelectSource::Table(_) => {
-            resolve::resolve_table_select(work, sel, ctx)?.map(|t| t.schema)
+            let plan = resolve::resolve_table_select(work, sel, ctx)?;
+            (plan.map(|t| t.schema), None)
         }
-        ast::SelectSource::Graph(_) => resolve::resolve_graph_select(work, sel, ctx)?.schema,
+        ast::SelectSource::Graph(_) => {
+            let mut plan = resolve::resolve_graph_select(work, sel, ctx)?;
+            (plan.schema.take(), Some(plan))
+        }
     };
-    register_into(work, sel, schema)
+    register_into(work, sel, schema)?;
+    Ok(plan)
 }
 
 fn register_into(

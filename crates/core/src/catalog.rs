@@ -3,8 +3,10 @@
 //!
 //! The catalog holds *definitions only* — schemas and declaration ASTs —
 //! so static analysis (§III-A) can run without touching data. Instance
-//! counts live in [`graql_graph::GraphStats`], refreshed after ingest.
+//! counts and degree statistics live in [`CatalogStats`], filled when the
+//! graph views are built.
 
+use graql_graph::Graph;
 use graql_parser::ast;
 use graql_table::TableSchema;
 use graql_types::{GraqlError, Result};
@@ -325,9 +327,9 @@ pub struct VertexCard {
 }
 
 /// Statistics for one edge type: instance count, mean/max degrees and
-/// log₂ degree histograms in both directions (mirrors
-/// [`graql_graph::EdgeTypeStats`], but keyed by name so it survives
-/// graph rebuilds and snapshot round-trips).
+/// log₂ degree histograms in both directions ("statistical properties of
+/// the degree distribution of a vertex type with respect to an edge
+/// type" — §III-B).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EdgeCard {
     pub count: u64,
@@ -335,8 +337,29 @@ pub struct EdgeCard {
     pub mean_in_degree: f64,
     pub max_out_degree: u64,
     pub max_in_degree: u64,
+    /// `out_degree_histogram[b]` = number of source vertices whose
+    /// out-degree `d` has `degree_bucket(d) == b`: bucket 0 holds degree
+    /// 0, bucket `⌊log₂ d⌋ + 1` degree `d ≥ 1` (0, 1, 2–3, 4–7, …).
     pub out_degree_histogram: Vec<u64>,
+    /// Same for in-degrees over target vertices.
     pub in_degree_histogram: Vec<u64>,
+}
+
+/// Log₂ bucket index of a degree (0 → 0; d ≥ 1 → ⌊log₂ d⌋ + 1).
+fn degree_bucket(d: usize) -> usize {
+    (usize::BITS - d.leading_zeros()) as usize
+}
+
+fn histogram(degrees: impl Iterator<Item = usize>) -> Vec<u64> {
+    let mut h = Vec::new();
+    for d in degrees {
+        let b = degree_bucket(d);
+        if b >= h.len() {
+            h.resize(b + 1, 0);
+        }
+        h[b] += 1;
+    }
+    h
 }
 
 /// The persistent catalog statistics store (paper §III-B): per-type
@@ -346,8 +369,9 @@ pub struct EdgeCard {
 /// estimates and (eventually) the cost-based planner.
 ///
 /// Populated incrementally: the table section refreshes at ingest, the
-/// vertex/edge sections when the graph views build ([`CatalogStats::graph_complete`]
-/// says whether they have). Snapshot-persisted by `persist::save_dir`.
+/// vertex/edge sections are filled from the graph views as they are built
+/// ([`CatalogStats::fill_graph`]; [`CatalogStats::graph_complete`] says
+/// whether they have been). Snapshot-persisted by `persist::save_dir`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CatalogStats {
     /// Per-card `Arc`s keep cloning the whole store cheap: the MVCC
@@ -382,37 +406,42 @@ impl CatalogStats {
         }
     }
 
-    /// Folds a [`graql_graph::GraphStats`] snapshot into the store,
-    /// re-keying by type name, and marks the graph sections complete.
-    pub fn absorb_graph(&mut self, g: &graql_graph::Graph, stats: &graql_graph::GraphStats) {
-        self.vertices.clear();
-        self.edges.clear();
-        for vs in &stats.vertices {
-            self.vertices.insert(
-                g.vset(vs.vtype).name.clone(),
-                std::sync::Arc::new(VertexCard {
-                    count: vs.count as u64,
-                }),
-            );
-        }
-        for es in &stats.edges {
-            self.edges.insert(
-                g.eset(es.etype).name.clone(),
-                std::sync::Arc::new(EdgeCard {
-                    count: es.count as u64,
-                    mean_out_degree: es.mean_out_degree,
-                    mean_in_degree: es.mean_in_degree,
-                    max_out_degree: es.max_out_degree as u64,
-                    max_in_degree: es.max_in_degree as u64,
-                    out_degree_histogram: es
-                        .out_degree_histogram
-                        .iter()
-                        .map(|&c| c as u64)
-                        .collect(),
-                    in_degree_histogram: es.in_degree_histogram.iter().map(|&c| c as u64).collect(),
-                }),
-            );
-        }
+    /// Fills the vertex and edge sections from graph views just built
+    /// from the catalog, and marks them complete: instance counts, mean
+    /// and max degrees, and degree histograms in both directions.
+    pub fn fill_graph(&mut self, g: &Graph) {
+        self.vertices = g
+            .vtype_ids()
+            .map(|vt| {
+                let vs = g.vset(vt);
+                let card = VertexCard {
+                    count: vs.len() as u64,
+                };
+                (vs.name.clone(), std::sync::Arc::new(card))
+            })
+            .collect();
+        self.edges = g
+            .etype_ids()
+            .map(|et| {
+                let (es, idx) = (g.eset(et), g.edge_index(et));
+                let n_src = g.vset(es.src_type).len();
+                let n_tgt = g.vset(es.tgt_type).len();
+                let mean = |n: usize| match n {
+                    0 => 0.0,
+                    n => es.len() as f64 / n as f64,
+                };
+                let card = EdgeCard {
+                    count: es.len() as u64,
+                    mean_out_degree: mean(n_src),
+                    mean_in_degree: mean(n_tgt),
+                    max_out_degree: idx.fwd.max_degree() as u64,
+                    max_in_degree: idx.rev.max_degree() as u64,
+                    out_degree_histogram: histogram((0..n_src as u32).map(|v| idx.fwd.degree(v))),
+                    in_degree_histogram: histogram((0..n_tgt as u32).map(|v| idx.rev.degree(v))),
+                };
+                (es.name.clone(), std::sync::Arc::new(card))
+            })
+            .collect();
         self.graph_complete = true;
     }
 
@@ -596,6 +625,48 @@ mod tests {
         // …but shadowing a base table is not.
         c.add_table("Base", schema()).unwrap();
         assert!(c.add_result_table("Base", schema()).is_err());
+    }
+
+    #[test]
+    fn degree_statistics() {
+        use graql_graph::{EdgeSet, VertexSet};
+        use graql_table::Table;
+        use graql_types::Value;
+        let mut g = Graph::new();
+        let schema = TableSchema::of(&[("id", DataType::Integer)]);
+        let t = Table::from_rows(schema, (0..4i64).map(|i| vec![Value::Int(i)])).unwrap();
+        let a = g
+            .add_vertex_type(VertexSet::build("A", "t", &t, vec![0], None).unwrap())
+            .unwrap();
+        // 0 has out-degree 3; 1 has in-degree 2.
+        let pairs = vec![(0, 1), (0, 2), (0, 3), (2, 1)];
+        g.add_edge_type(EdgeSet::from_pairs("e", a, a, pairs))
+            .unwrap();
+        let mut stats = CatalogStats::default();
+        stats.fill_graph(&g);
+        assert!(stats.graph_complete);
+        assert_eq!(stats.vertex_count("A"), Some(4));
+        let es = &stats.edges["e"];
+        assert_eq!(es.count, 4);
+        assert_eq!((es.max_out_degree, es.max_in_degree), (3, 2));
+        assert_eq!(stats.mean_degrees("e"), Some((1.0, 1.0)));
+        // Out-degrees: [3, 0, 1, 0] → buckets: 0→{1,3}, 1→{2}, 2 (2–3)→{0}.
+        assert_eq!(es.out_degree_histogram, vec![2, 1, 1]);
+        // In-degrees: [0, 2, 1, 1] → 0→{0}, 1→{2,3}, 2→{1}.
+        assert_eq!(es.in_degree_histogram, vec![1, 2, 1]);
+    }
+
+    #[test]
+    fn degree_buckets() {
+        let buckets: Vec<usize> = [0, 1, 2, 3, 4, 7, 8].map(degree_bucket).to_vec();
+        assert_eq!(buckets, vec![0, 1, 2, 2, 3, 3, 4]);
+    }
+
+    #[test]
+    fn empty_graph_fills_empty_sections() {
+        let mut stats = CatalogStats::default();
+        stats.fill_graph(&Graph::new());
+        assert!(stats.graph_complete && stats.vertices.is_empty() && stats.edges.is_empty());
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use graql_graph::{Graph, GraphStats, Subgraph};
+use graql_graph::{Graph, Subgraph};
 use graql_parser::ast::{self, Stmt};
 use graql_table::{Table, TableSchema};
 use graql_types::obs::{obs_record, obs_start, Stage};
@@ -58,10 +58,10 @@ pub struct Database {
     catalog: Catalog,
     storage: Storage,
     graph: Option<Arc<Graph>>,
-    stats: Option<Arc<GraphStats>>,
     /// Catalog statistics store (per-type cardinalities, degree means,
     /// per-column NDV). The table section updates at ingest; the graph
-    /// sections fill in when the graph views exist; snapshots persist it.
+    /// sections are filled as the graph views are built; snapshots persist
+    /// it.
     /// `Arc` for the same reason as the catalog: the MVCC server clones
     /// the database per write script, and the store's per-column NDV
     /// vectors are the most expensive member to deep-copy.
@@ -124,16 +124,11 @@ impl Database {
         Ok(self.graph.as_deref().expect("just built"))
     }
 
-    /// Current statistics snapshot (§III-B), building graph+stats if
-    /// needed.
-    pub fn stats(&mut self) -> Result<&GraphStats> {
+    /// The catalog statistics store (§III-B), building the graph views —
+    /// and with them the store's vertex and edge sections — if needed.
+    pub fn stats(&mut self) -> Result<&CatalogStats> {
         self.ensure_graph()?;
-        if self.stats.is_none() {
-            self.stats = Some(Arc::new(GraphStats::compute(
-                self.graph.as_deref().expect("built"),
-            )));
-        }
-        Ok(self.stats.as_deref().expect("just computed"))
+        Ok(self.catstats.as_deref().expect("filled with the views"))
     }
 
     /// A base table by name.
@@ -153,10 +148,10 @@ impl Database {
         self.graph.as_deref()
     }
 
-    /// The statistics snapshot if already computed (immutable; use
-    /// [`Database::stats`] to force a build).
-    pub fn stats_ref(&self) -> Option<&GraphStats> {
-        self.stats.as_deref()
+    /// The statistics store as it stands (absent, or without graph
+    /// sections, until tables or views exist); never computes anything.
+    pub fn stats_ref(&self) -> Option<&CatalogStats> {
+        self.catstats.as_deref()
     }
 
     /// The bound query parameters.
@@ -176,7 +171,6 @@ impl Database {
 
     fn graph_dirty(&mut self) {
         self.graph = None;
-        self.stats = None;
         self.catalog.set_many_to_one(Vec::new());
         // Table cards survive (they only change with the table they
         // describe); the graph sections no longer match anything.
@@ -199,45 +193,6 @@ impl Database {
         }
     }
 
-    /// Brings the statistics store as far up to date as possible *without*
-    /// building the graph: fills missing table cards and, when the graph
-    /// views already exist, absorbs their degree statistics.
-    fn refresh_catstats(&mut self) {
-        let cs = Arc::make_mut(self.catstats.get_or_insert_with(Default::default));
-        for name in self.catalog.table_names() {
-            if !cs.tables.contains_key(name) {
-                if let Some(t) = self.storage.get(name) {
-                    cs.tables
-                        .insert(name.clone(), Arc::new(CatalogStats::table_card(t)));
-                }
-            }
-        }
-        if !cs.graph_complete {
-            if let Some(graph) = self.graph.as_ref() {
-                if self.stats.is_none() {
-                    self.stats = Some(Arc::new(GraphStats::compute(graph)));
-                }
-                let gstats = self.stats.as_ref().expect("just computed");
-                Arc::make_mut(self.catstats.as_mut().expect("inserted above"))
-                    .absorb_graph(graph, gstats);
-            }
-        }
-    }
-
-    /// The catalog statistics store, building the graph views (and their
-    /// degree statistics) if needed so the result is complete.
-    pub fn catalog_stats(&mut self) -> Result<&CatalogStats> {
-        self.ensure_graph()?;
-        self.refresh_catstats();
-        Ok(self.catstats.as_deref().expect("refreshed"))
-    }
-
-    /// The statistics store as currently cached (possibly absent or
-    /// missing graph sections); never computes anything.
-    pub fn catalog_stats_ref(&self) -> Option<&CatalogStats> {
-        self.catstats.as_deref()
-    }
-
     /// Installs a statistics store loaded from a snapshot (the graph
     /// sections become available without a graph build).
     pub fn install_catalog_stats(&mut self, stats: CatalogStats) {
@@ -254,6 +209,7 @@ impl Database {
                 .map(|v| v.name.clone())
                 .collect();
             self.catalog.set_many_to_one(many_to_one);
+            Arc::make_mut(self.catstats.get_or_insert_with(Default::default)).fill_graph(&graph);
             self.graph = Some(Arc::new(graph));
         }
         Ok(())
@@ -264,7 +220,7 @@ impl Database {
     /// first problem. Parse failures become a single `E0001` diagnostic.
     ///
     /// The database is not modified.
-    pub fn check_script_str(&mut self, text: &str) -> graql_types::Diagnostics {
+    pub fn check_script_str(&self, text: &str) -> graql_types::Diagnostics {
         match graql_parser::parse(text) {
             Ok(script) => self.check_script(&script),
             Err(e) => {
@@ -284,8 +240,7 @@ impl Database {
     /// statistics store feeds the degree-based lints (`W0301`, `H0202`)
     /// and the dataflow cost hints (`H0203`); a check never forces a
     /// graph build on its own.
-    pub fn check_script(&mut self, script: &ast::Script) -> graql_types::Diagnostics {
-        self.refresh_catstats();
+    pub fn check_script(&self, script: &ast::Script) -> graql_types::Diagnostics {
         // A set-level group charges no rows, so only a deadline or a byte
         // cap can stop an unbounded repetition.
         let budget = &self.config.budget;
@@ -455,11 +410,9 @@ impl Database {
             return Err(GraqlError::exec("only select statements can be explained"));
         };
         self.ensure_graph()?;
-        self.refresh_catstats();
         let rewritten = crate::analysis::rewrite_select(sel);
         let plan = resolve_select(&self.catalog, rewritten.as_ref().map_or(sel, |r| &r.sel))?;
-        let ctx = self.exec_ctx(guard)?;
-        Self::explain_plan(&ctx, self.catstats.as_deref(), rewritten.as_ref(), &plan)
+        self.explain_plan(&self.exec_ctx(guard)?, rewritten.as_ref(), &plan)
     }
 
     /// The shared plan rendering used by `explain` and `profile`: the
@@ -467,18 +420,24 @@ impl Database {
     /// resolved statement, annotated with per-operator cardinality
     /// estimates when catalog statistics are available.
     fn explain_plan(
+        &self,
         ctx: &ExecCtx<'_>,
-        stats: Option<&CatalogStats>,
         rewritten: Option<&Rewritten>,
         plan: &Resolved,
     ) -> Result<String> {
+        let stats = self.catstats.as_deref();
         let mut out = String::new();
         if let Some(r) = rewritten {
             out.push_str(&format!("rewrites applied: {}\n", r.passes.join(", ")));
         }
         match plan {
             Resolved::Graph(g) => {
-                out.push_str(&crate::exec::explain::explain_graph_select(ctx, stats, g)?);
+                out.push_str(&crate::exec::explain::explain_graph_select(
+                    ctx,
+                    &self.catalog,
+                    stats,
+                    g,
+                )?);
             }
             Resolved::Table(t) => {
                 let est = stats
@@ -543,9 +502,7 @@ impl Database {
             guard.rows() - rows_before,
             guard.bytes() - bytes_before,
         );
-        let ctx = self.exec_ctx(guard)?;
-        report.plan =
-            Self::explain_plan(&ctx, self.catstats.as_deref(), rewritten.as_ref(), &plan)?;
+        report.plan = self.explain_plan(&self.exec_ctx(guard)?, rewritten.as_ref(), &plan)?;
         Ok(report)
     }
 

@@ -2,7 +2,7 @@
 //! decisions — per-step candidate counts before and after culling, the
 //! traversal direction of each hop over the bidirectional index, the
 //! chosen enumeration order, and (when catalog statistics are available)
-//! per-operator estimated row counts.
+//! per-operator estimated row counts from [`cost::path_rows`].
 
 use std::fmt::Write as _;
 
@@ -11,16 +11,18 @@ use graql_types::Result;
 
 use crate::analysis::cost;
 use crate::analyze::resolve::GraphSelect;
-use crate::catalog::CatalogStats;
-use crate::compile::{CLink, CPath, CVStep};
+use crate::catalog::{Catalog, CatalogStats};
+use crate::compile::{CLink, CPath};
 use crate::exec::cand::cand_count;
 use crate::exec::query::run_query;
 use crate::exec::ExecCtx;
 use crate::plan::choose_order;
 
-/// Renders the execution plan of a resolved graph select.
+/// Renders the execution plan of a graph select resolved against
+/// `catalog`.
 pub fn explain_graph_select(
     ctx: &ExecCtx<'_>,
+    catalog: &Catalog,
     stats: Option<&CatalogStats>,
     resolved: &GraphSelect,
 ) -> Result<String> {
@@ -32,11 +34,15 @@ pub fn explain_graph_select(
         if n_branches > 1 {
             let _ = writeln!(out, "or-branch {bi}:");
         }
+        let rows = stats.map(|st| cost::path_rows(catalog, st, q));
+        let est = |pi: usize, vi: usize, what: &str| match &rows {
+            Some(rows) => format!(", est ~{} {what}", cost::fmt_rows(rows[pi][vi])),
+            None => String::new(),
+        };
         // Set-level run (no bindings) gives the culled candidate counts.
         let qr = run_query(ctx, q.clone(), false)?;
         for (pi, p) in qr.cquery.paths.iter().enumerate() {
             let _ = writeln!(out, "  path {pi}:");
-            let mut flow = stats.map(|st| vstep_estimate(ctx, st, &p.vsteps[0]));
             for (vi, v) in p.vsteps.iter().enumerate() {
                 let culled = cand_count(&qr.cands[pi][vi]);
                 let types: Vec<&str> = v
@@ -49,16 +55,6 @@ pub fn explain_graph_select(
                     (_, Some(n)) => format!(" [ref {n}]"),
                     _ => String::new(),
                 };
-                let est = match (stats, vi) {
-                    (Some(st), 0) => {
-                        format!(", est ~{} rows", cost::fmt_rows(vstep_estimate(ctx, st, v)))
-                    }
-                    (Some(_), _) => match flow {
-                        Some(f) => format!(", est ~{} rows", cost::fmt_rows(f)),
-                        None => String::new(),
-                    },
-                    _ => String::new(),
-                };
                 let _ = writeln!(
                     out,
                     "    v{vi} {} :: {{{}}}{} — {} candidates after culling{}",
@@ -66,18 +62,11 @@ pub fn explain_graph_select(
                     types.join(", "),
                     label,
                     culled,
-                    est
+                    est(pi, vi, "rows")
                 );
                 if vi < p.links.len() {
-                    if let (Some(st), Some(f)) = (stats, flow.as_mut()) {
-                        *f = link_estimate(ctx, st, &p.links[vi], *f)
-                            * vstep_selectivity(ctx, st, &p.vsteps[vi + 1]);
-                    }
-                    let link_est = match (stats, flow) {
-                        (Some(_), Some(f)) => format!(", est ~{} rows out", cost::fmt_rows(f)),
-                        _ => String::new(),
-                    };
-                    let _ = writeln!(out, "    {}{}", describe_link(ctx, p, vi), link_est);
+                    let link = describe_link(ctx, p, vi);
+                    let _ = writeln!(out, "    {link}{}", est(pi, vi + 1, "rows out"));
                 }
             }
             let counts: Vec<usize> = qr.cands[pi].iter().map(cand_count).collect();
@@ -90,101 +79,6 @@ pub fn explain_graph_select(
         }
     }
     Ok(out)
-}
-
-/// Standalone estimate for a vertex step: per-type vertex counts scaled by
-/// the selectivity of the step's local predicate against the type's
-/// backing table.
-fn vstep_estimate(ctx: &ExecCtx<'_>, stats: &CatalogStats, v: &CVStep) -> f64 {
-    let mut est = 0.0;
-    for &vt in &v.domain {
-        let vset = ctx.graph.vset(vt);
-        let count = stats.vertex_count(&vset.name).unwrap_or(0) as f64;
-        let sel = match v.local.get(&vt) {
-            Some(pred) => match ctx.storage.get(&vset.table) {
-                Some(table) => cost::phys_selectivity(
-                    table.schema(),
-                    stats.tables.get(&vset.table).map(|c| &**c),
-                    pred,
-                ),
-                None => 0.5,
-            },
-            None => 1.0,
-        };
-        est += count * sel;
-    }
-    est
-}
-
-/// Mean local-predicate selectivity of a step (1.0 when unfiltered),
-/// applied to rows flowing *into* the step from a link.
-fn vstep_selectivity(ctx: &ExecCtx<'_>, stats: &CatalogStats, v: &CVStep) -> f64 {
-    if v.local.is_empty() {
-        return 1.0;
-    }
-    let mut total = 0.0;
-    for &vt in &v.domain {
-        let vset = ctx.graph.vset(vt);
-        total += match v.local.get(&vt) {
-            Some(pred) => match ctx.storage.get(&vset.table) {
-                Some(table) => cost::phys_selectivity(
-                    table.schema(),
-                    stats.tables.get(&vset.table).map(|c| &**c),
-                    pred,
-                ),
-                None => 0.5,
-            },
-            None => 1.0,
-        };
-    }
-    total / v.domain.len().max(1) as f64
-}
-
-/// Degree-based expansion of one edge traversal (summed over the
-/// candidate edge types, in the traversal direction).
-fn edge_expansion(ctx: &ExecCtx<'_>, stats: &CatalogStats, e: &crate::compile::CEStep) -> f64 {
-    let names: Vec<&str> = match &e.domain {
-        Some(d) => d
-            .iter()
-            .map(|&et| ctx.graph.eset(et).name.as_str())
-            .collect(),
-        None => ctx
-            .graph
-            .etype_ids()
-            .map(|et| ctx.graph.eset(et).name.as_str())
-            .collect(),
-    };
-    let mut expansion = 0.0;
-    for n in names {
-        if let Some((mean_out, mean_in)) = stats.mean_degrees(n) {
-            expansion += match e.dir {
-                Dir::Out => mean_out,
-                Dir::In => mean_in,
-            };
-        }
-    }
-    if e.local.is_empty() {
-        expansion
-    } else {
-        expansion / 3.0
-    }
-}
-
-fn link_estimate(ctx: &ExecCtx<'_>, stats: &CatalogStats, link: &CLink, flow: f64) -> f64 {
-    match link {
-        CLink::Edge(e) => flow * edge_expansion(ctx, stats, e),
-        CLink::Group(g) => {
-            let mut per_iter = 1.0;
-            for (e, v) in &g.hops {
-                per_iter *= edge_expansion(ctx, stats, e);
-                per_iter *= vstep_selectivity(ctx, stats, v);
-            }
-            let depth = cost::GROUP_DEPTH_CAP
-                .max(g.lo)
-                .min(g.hi.unwrap_or(u32::MAX));
-            flow * per_iter.max(1.0).powi(depth as i32)
-        }
-    }
 }
 
 fn describe_link(ctx: &ExecCtx<'_>, p: &CPath, li: usize) -> String {

@@ -36,8 +36,8 @@ pub struct ExecCtx<'a> {
     /// common case) keeps the instrumented kernels on the zero-overhead
     /// path — no clocks are read.
     pub obs: Option<&'a QueryProfile>,
-    /// Catalog statistics (PR 6 store), when the database has computed
-    /// them. Consulted only for order-neutral physical decisions — hash
+    /// The catalog statistics store, whose graph sections are filled
+    /// whenever the graph views are built. Consulted only for order-neutral physical decisions — hash
     /// join build side, parallel dispatch thresholds — never for anything
     /// that changes logical enumeration order, so stale or absent stats
     /// cannot change results.

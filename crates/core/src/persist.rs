@@ -140,7 +140,7 @@ pub fn save_dir(db: &Database, dir: &Path, faults: &Faults) -> Result<()> {
     // The catalog statistics store rides along when populated, so a
     // loaded snapshot can feed degree-based lints and cost estimates
     // without rebuilding the graph first.
-    if let Some(stats) = db.catalog_stats_ref() {
+    if let Some(stats) = db.stats_ref() {
         files.push((STATS_FILE.to_string(), stats.to_text().into_bytes()));
     }
     let mut manifest = String::new();

@@ -44,13 +44,11 @@
 pub mod csr;
 pub mod edge_set;
 pub mod graph;
-pub mod stats;
 pub mod subgraph;
 pub mod vertex_set;
 
 pub use csr::{Csr, EdgeIndex};
 pub use edge_set::EdgeSet;
 pub use graph::{ETypeId, Graph, VTypeId};
-pub use stats::{EdgeTypeStats, GraphStats, VertexTypeStats};
 pub use subgraph::Subgraph;
 pub use vertex_set::{Mapping, VertexSet};

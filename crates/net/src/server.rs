@@ -1001,7 +1001,7 @@ fn handle_connection(
         faults: server.faults(),
     };
 
-    let mut session = match handshake(&wire, server, opts, shutdown)? {
+    let session = match handshake(&wire, server, opts, shutdown)? {
         Some(s) => s,
         None => return Ok(()), // rejected or closed; error frame already sent
     };

@@ -175,13 +175,8 @@ fn run_case(dir: &Path, seed: u64, site: &str, spec: &str, crash_at: usize) {
     // Catalog-statistics table cards are replay-consistent: recovery goes
     // through ordinary execution, which refreshes the cards exactly like
     // the original run did.
-    let shadow_cards = shadow.catalog_stats().unwrap().tables.clone();
-    let rec_cards = server
-        .database_mut()
-        .catalog_stats()
-        .unwrap()
-        .tables
-        .clone();
+    let shadow_cards = shadow.stats().unwrap().tables.clone();
+    let rec_cards = server.database_mut().stats().unwrap().tables.clone();
     for name in shadow.catalog().table_names() {
         assert_eq!(
             rec_cards.get(name),
@@ -409,23 +404,13 @@ fn catalog_stats_cards_survive_recovery() {
         sess.execute_script("create table N(id integer, tag varchar(8))")
             .unwrap();
         sess.execute_script("ingest table N n.csv").unwrap();
-        before = server
-            .database_mut()
-            .catalog_stats()
-            .unwrap()
-            .tables
-            .clone();
+        before = server.database_mut().stats().unwrap().tables.clone();
         assert_eq!(before.get("N").map(|c| c.rows), Some(3u64));
     }
     let (server, report) =
         Server::open_durable(&dir.join("db"), DurabilityOptions::default()).unwrap();
     assert_eq!(report.replayed_records, 2);
-    let after = server
-        .database_mut()
-        .catalog_stats()
-        .unwrap()
-        .tables
-        .clone();
+    let after = server.database_mut().stats().unwrap().tables.clone();
     assert_eq!(after.get("N"), before.get("N"), "table card for N");
     std::fs::remove_dir_all(&dir).ok();
 }
