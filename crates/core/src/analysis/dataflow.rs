@@ -1,13 +1,12 @@
 //! Typed dataflow over per-binding domains: the predicate analyzer.
 //!
 //! Every condition a statement carries goes through `check_predicate`
-//! once: the simplifier's verdicts (`rewrite::simplify`) and the
-//! interval analysis of each conjunction (`conjunction`) decide all of
-//! the predicate diagnostics together. Nullability is folded into the
-//! interval rules — every comparison evaluates to `false` on a null
-//! attribute, so a contradiction between comparisons is a contradiction
-//! for null rows too, which is what makes the verdicts here safe for the
-//! rewriter to act on.
+//! once: constant folding (`verdict`) and the interval analysis of each
+//! conjunction (`conjunction`) decide all of the predicate diagnostics
+//! together. Nullability is folded into the interval rules — every
+//! comparison evaluates to `false` on a null attribute, so a
+//! contradiction between comparisons is a contradiction for null rows
+//! too, and a verdict here holds for every row.
 //!
 //! Emitted diagnostics:
 //!
@@ -32,10 +31,9 @@ use graql_types::{codes, CmpOp, Diagnostic, Diagnostics, Span, Value};
 use crate::analyze::resolve::GraphSelect;
 use crate::catalog::{Catalog, CatalogStats};
 use crate::compile::{CLink, CQuery};
-use crate::cond::{lit_value, Params};
+use crate::cond::{lit_type, lit_value, Params};
 
 use super::cost;
-use super::rewrite::{cmp_verdict, simplify, Simp};
 
 // ---------------------------------------------------------------------------
 // Interval analysis (value ranges per attribute)
@@ -121,7 +119,7 @@ impl Range<'_> {
 /// conjuncts (either orientation, parameters excluded) contribute;
 /// everything else is ignored, which keeps the verdict conservative: a
 /// reported contradiction holds for every row, null attributes included.
-pub(crate) fn conjunction(parts: &[Expr]) -> Conjunction<'_> {
+pub(crate) fn conjunction<'e>(parts: impl IntoIterator<Item = &'e Expr>) -> Conjunction<'e> {
     let mut ranges: Vec<Range<'_>> = Vec::new();
     let mut eq_conflicts = Vec::new();
     let params = Params::default();
@@ -200,21 +198,153 @@ pub(crate) fn conjunction(parts: &[Expr]) -> Conjunction<'_> {
 }
 
 // ---------------------------------------------------------------------------
+// Constant verdicts
+// ---------------------------------------------------------------------------
+//
+// GraQL's comparisons are SQL-flavoured about nulls: `=`, `!=` and the
+// ordered comparisons are all false when either side is null, and `not`
+// inverts that post-null verdict. So `x = x` is not a tautology (a null
+// attribute makes it false) while `x < x`, `x > x` and `x != x` are
+// contradictions, and `not (a < b)` is not `a >= b`. A `%param%` has no
+// static type, and a subtree holding one never gets a verdict.
+
+/// The constant verdict of one comparison, when it has one. Two
+/// parameter-free literals of comparable types fold (incomparable ones
+/// get no verdict: compilation reports them as a type error); `x < x`,
+/// `x > x` and `x != x` are false even on null rows, where every
+/// comparison already is.
+fn cmp_verdict(op: CmpOp, lhs: &Operand, rhs: &Operand) -> Option<bool> {
+    match (lhs, rhs) {
+        (Operand::Lit(a), Operand::Lit(b)) => {
+            if !lit_type(a)?.comparable_with(lit_type(b)?) {
+                return None;
+            }
+            let params = Params::default();
+            let va = lit_value(a, &params).expect("non-param literal");
+            let vb = lit_value(b, &params).expect("non-param literal");
+            Some(op.eval(&va, &vb))
+        }
+        (
+            Operand::Attr {
+                qualifier: q1,
+                name: n1,
+            },
+            Operand::Attr {
+                qualifier: q2,
+                name: n2,
+            },
+        ) if q1 == q2 && n1 == n2 && matches!(op, CmpOp::Lt | CmpOp::Gt | CmpOp::Ne) => Some(false),
+        _ => None,
+    }
+}
+
+/// True when no `%param%` literal occurs anywhere in the expression.
+fn param_free(e: &Expr) -> bool {
+    let mut free = true;
+    e.for_each_cmp(&mut |_, lhs, rhs, _| {
+        free &= ![lhs, rhs]
+            .iter()
+            .any(|o| matches!(o, Operand::Lit(Lit::Param(_))))
+    });
+    free
+}
+
+/// A condition with its constant parts folded away.
+enum Folded<'e> {
+    /// It passes every row (`true`) or none (`false`).
+    Const(bool),
+    /// It depends on the row. `conjuncts` are the comparisons the folded
+    /// form has as direct conjuncts (`not not x` is `x`, and an `and` or
+    /// `or` left with one operand is that operand), under one more `not`
+    /// when `negated`.
+    Open {
+        conjuncts: Vec<&'e Expr>,
+        negated: bool,
+    },
+}
+
+/// The constant verdict of a condition: `Some(true)` when it passes
+/// every row, `Some(false)` when it passes none.
+fn verdict(e: &Expr) -> Option<bool> {
+    match fold(e) {
+        Folded::Const(v) => Some(v),
+        Folded::Open { .. } => None,
+    }
+}
+
+fn fold(e: &Expr) -> Folded<'_> {
+    let open = |conjuncts| Folded::Open {
+        conjuncts,
+        negated: false,
+    };
+    match e {
+        Expr::Cmp { op, lhs, rhs, .. } => match cmp_verdict(*op, lhs, rhs) {
+            Some(v) => Folded::Const(v),
+            None => open(vec![e]),
+        },
+        Expr::Not(inner) => match fold(inner) {
+            Folded::Const(v) => Folded::Const(!v),
+            Folded::Open { conjuncts, negated } => Folded::Open {
+                conjuncts,
+                negated: !negated,
+            },
+        },
+        Expr::And(parts) | Expr::Or(parts) => {
+            let conj = matches!(e, Expr::And(_));
+            let mut rest = Vec::new();
+            for p in parts {
+                match fold(p) {
+                    // A neutral constant drops out.
+                    Folded::Const(v) if v == conj => {}
+                    // An absorbing one decides the node, unless a
+                    // parameter elsewhere must still reach binding.
+                    Folded::Const(_) if param_free(e) => return Folded::Const(!conj),
+                    Folded::Const(_) => return open(Vec::new()),
+                    f => rest.push(f),
+                }
+            }
+            if rest.len() <= 1 {
+                return rest.pop().unwrap_or(Folded::Const(conj));
+            }
+            if !conj {
+                return open(Vec::new());
+            }
+            let conjuncts: Vec<&Expr> = rest
+                .into_iter()
+                .flat_map(|f| match f {
+                    Folded::Open {
+                        conjuncts,
+                        negated: false,
+                    } => conjuncts,
+                    _ => Vec::new(),
+                })
+                .collect();
+            // `x > 5 and x < 3` is false for every row (null rows fail
+            // both sides already); a parameter blocks the verdict.
+            if param_free(e) && conjunction(conjuncts.iter().copied()).empty.is_some() {
+                return Folded::Const(false);
+            }
+            open(conjuncts)
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // The predicate analyzer
 // ---------------------------------------------------------------------------
 
 /// Analyzes one condition, reporting `W0203` into `always_false` and —
 /// for a select condition, whose position `what` names — `W0208` and
-/// `W0207` into `flow`. Returns the simplifier's verdict on the whole
+/// `W0207` into `flow`. Returns the constant verdict of the whole
 /// condition.
 pub(crate) fn check_predicate(
     e: &Expr,
     what: Option<&str>,
     always_false: &mut Diagnostics,
     flow: &mut Diagnostics,
-) -> Simp {
-    let verdict = simplify(e);
-    let tautology = matches!(verdict, Simp::True);
+) -> Option<bool> {
+    let verdict = verdict(e);
+    let tautology = verdict == Some(true);
     if let (true, Some(what)) = (tautology, what) {
         flow.push(
             Diagnostic::warning(
@@ -222,7 +352,7 @@ pub(crate) fn check_predicate(
                 format!("this {what} is always true: it never filters anything"),
                 e.span(),
             )
-            .with_note("the optimizer drops it; remove it for clarity"),
+            .with_note("it is still evaluated on every row; remove it for clarity"),
         );
     }
     // A tautology has no empty range worth reporting.
@@ -313,7 +443,7 @@ pub(crate) fn check_graph(
         branch.for_each_step(&mut |step, _| {
             if let Some(cond) = step.cond() {
                 let verdict = check_predicate(cond, Some("step condition"), always_false, flow);
-                dead |= matches!(verdict, Simp::False);
+                dead |= verdict == Some(false);
             }
         });
         if dead {
@@ -330,7 +460,7 @@ pub(crate) fn check_graph(
                     head,
                 )
                 .with_note(if many {
-                    "the branch contributes no rows; the optimizer removes it"
+                    "the branch contributes no rows, but it still runs; remove it"
                 } else {
                     "the statement always returns an empty result"
                 }),
@@ -384,4 +514,59 @@ fn costly_step(work: &Catalog, stats: &CatalogStats, q: &CQuery) -> Option<(Stri
         return Some((desc, rows[i]));
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn verdict_of(pred: &str) -> Option<bool> {
+        let script = graql_parser::parse(&format!("select id from table T where {pred}")).unwrap();
+        verdict(
+            script.statements[0]
+                .as_select()
+                .unwrap()
+                .where_clause
+                .as_ref()
+                .unwrap(),
+        )
+    }
+
+    #[test]
+    fn verdicts_follow_null_semantics() {
+        for (pred, want) in [
+            ("1 < 2", Some(true)),
+            ("2 < 1", Some(false)),
+            ("'a' < 'b'", Some(true)),
+            // Incomparable constants: compilation reports the type error.
+            ("1 = 'a'", None),
+            // A null attribute makes `x = x` false, and every comparison
+            // on null is false already.
+            ("x = x", None),
+            ("x <= x", None),
+            ("x < x", Some(false)),
+            ("x != x", Some(false)),
+            // `not (x < 5)` is not `x >= 5` on null rows.
+            ("not (x < 5)", None),
+            ("not (1 < 2)", Some(false)),
+            ("x = 1 and 1 = 1", None),
+            ("x = 1 and 1 = 2", Some(false)),
+            ("x = 1 or 1 = 2", None),
+            ("x = 1 or 1 = 1", Some(true)),
+            ("x > 5 and x < 3", Some(false)),
+            ("x >= 5 and x < 5", Some(false)),
+            ("x > 3 and x < 5", None),
+            // Interval analysis reads the folded form's conjuncts.
+            ("x > 5 and (y = 1 and x < 3)", Some(false)),
+            ("x > 5 and not (not (x < 3))", Some(false)),
+            ("x > 5 and (x < 3 or 1 = 2)", Some(false)),
+            ("x > 5 and not (x < 3)", None),
+            // A parameter must still reach binding.
+            ("x = %p% and 1 = 2", None),
+            ("x = %p% or 1 = 1", None),
+            ("x > 5 and x < 3 and y = %p%", None),
+        ] {
+            assert_eq!(verdict_of(pred), want, "{pred}");
+        }
+    }
 }

@@ -1,18 +1,12 @@
 //! AST-level analyses over checked select statements (§III-A, Fig. 8),
-//! shared by the checker in [`crate::analyze`] and the execution paths:
+//! shared by the checker in [`crate::analyze`] and `explain`:
 //!
-//! * [`dataflow`] — the predicate analyzer: simplifier verdicts and
+//! * [`dataflow`] — the predicate analyzer: constant verdicts and
 //!   interval analysis (value ranges + nullability) over step and `where`
 //!   predicates decide `W0203` (always-false comparison), `W0207`
 //!   (contradictory range) and `W0208` (tautological predicate) together,
 //!   plus `W0206` (dead pattern branch) and `H0203`
 //!   (statistics-estimated large intermediate).
-//! * [`rewrite`] — semantics-preserving plan rewrites: constant folding,
-//!   predicate simplification, dead `or`-branch elimination, unused-label
-//!   elimination and `and`/`or` composition flattening. Every rewrite is
-//!   required to produce byte-identical results to the original statement;
-//!   the soundness rules (null comparison semantics, parameter and group
-//!   preservation) are documented on [`rewrite::rewrite_select`].
 //! * [`cost`] — the one catalog-statistics-backed cardinality estimator:
 //!   it walks a resolved path query and feeds both `explain`'s
 //!   per-operator row estimates and the `H0203` large-plan hint, so the
@@ -20,13 +14,22 @@
 //!   [`crate::catalog::CatalogStats`] store (per-type cardinalities,
 //!   degree means, per-column NDV).
 //!
-//! The analyses run at two points: `check` runs dataflow for diagnostics
-//! (never building the graph), and the execution/`explain` paths run the
-//! rewriter followed by cost annotation.
+//! `check` runs dataflow for diagnostics (never building the graph), and
+//! `explain` runs cost annotation. Nothing here changes a statement: the
+//! statement that was checked is the statement that runs.
+
+use std::convert::Infallible;
+
+use graql_parser::ast::SelectStmt;
 
 pub mod cost;
 pub mod dataflow;
-pub mod rewrite;
 
 pub use cost::LARGE_PLAN_THRESHOLD;
-pub use rewrite::{rewrite_select, Rewritten};
+
+/// Always `None`: statements run as written. Nothing in this workspace
+/// calls it; it stays only while the benchmark harness (`benchmark/`)
+/// still times a call to it as its `analysis.rewrite` span.
+pub fn rewrite_select(_sel: &SelectStmt) -> Option<Infallible> {
+    None
+}

@@ -16,7 +16,6 @@ use graql_types::obs::{obs_record, obs_start, Stage};
 use graql_types::{GraqlError, ProfileReport, QueryGuard, QueryProfile, Result, Value};
 use rustc_hash::FxHashMap;
 
-use crate::analysis::Rewritten;
 use crate::analyze::resolve::{resolve_select, Resolved, TableShape};
 use crate::catalog::{Catalog, CatalogStats, EdgeDef, VertexDef};
 use crate::cond::Params;
@@ -410,26 +409,16 @@ impl Database {
             return Err(GraqlError::exec("only select statements can be explained"));
         };
         self.ensure_graph()?;
-        let rewritten = crate::analysis::rewrite_select(sel);
-        let plan = resolve_select(&self.catalog, rewritten.as_ref().map_or(sel, |r| &r.sel))?;
-        self.explain_plan(&self.exec_ctx(guard)?, rewritten.as_ref(), &plan)
+        let plan = resolve_select(&self.catalog, sel)?;
+        self.explain_plan(&self.exec_ctx(guard)?, &plan)
     }
 
     /// The shared plan rendering used by `explain` and `profile`: the
-    /// rewrites applied ([`crate::analysis::rewrite_select`]) and the
     /// resolved statement, annotated with per-operator cardinality
     /// estimates when catalog statistics are available.
-    fn explain_plan(
-        &self,
-        ctx: &ExecCtx<'_>,
-        rewritten: Option<&Rewritten>,
-        plan: &Resolved,
-    ) -> Result<String> {
+    fn explain_plan(&self, ctx: &ExecCtx<'_>, plan: &Resolved) -> Result<String> {
         let stats = self.catstats.as_deref();
         let mut out = String::new();
-        if let Some(r) = rewritten {
-            out.push_str(&format!("rewrites applied: {}\n", r.passes.join(", ")));
-        }
         match plan {
             Resolved::Graph(g) => {
                 out.push_str(&crate::exec::explain::explain_graph_select(
@@ -486,11 +475,10 @@ impl Database {
         sel: &ast::SelectStmt,
         guard: &QueryGuard,
     ) -> Result<ProfileReport> {
-        let rewritten = crate::analysis::rewrite_select(sel);
         let (rows_before, bytes_before) = (guard.rows(), guard.bytes());
         let profile = QueryProfile::new();
         let span = obs_start(Some(&profile));
-        let plan = resolve_select(&self.catalog, rewritten.as_ref().map_or(sel, |r| &r.sel))?;
+        let plan = resolve_select(&self.catalog, sel)?;
         if let Resolved::Graph(_) = plan {
             obs_record(Some(&profile), Stage::Compile, span);
         }
@@ -502,7 +490,7 @@ impl Database {
             guard.rows() - rows_before,
             guard.bytes() - bytes_before,
         );
-        report.plan = self.explain_plan(&self.exec_ctx(guard)?, rewritten.as_ref(), &plan)?;
+        report.plan = self.explain_plan(&self.exec_ctx(guard)?, &plan)?;
         Ok(report)
     }
 
@@ -532,23 +520,6 @@ impl Database {
     /// result, with an optional span recorder armed (`profile`, slow-query
     /// logging). `None` keeps the kernels on the zero-overhead path.
     pub fn execute_select_observed(
-        &self,
-        sel: &ast::SelectStmt,
-        guard: &QueryGuard,
-        obs: Option<&QueryProfile>,
-    ) -> Result<QueryOutput> {
-        // Semantics-preserving rewrites (analysis::rewrite). `None` means
-        // nothing changed and the original statement runs as-is.
-        let rewritten = crate::analysis::rewrite_select(sel);
-        let sel = rewritten.as_ref().map(|r| &r.sel).unwrap_or(sel);
-        self.execute_select_prepared(sel, guard, obs)
-    }
-
-    /// [`Database::execute_select_observed`] for a statement whose
-    /// rewrites were already applied (a plan-cache hit). The cached
-    /// statement is stored post-rewrite, so running the rewriter again
-    /// would be redundant work — this entry point skips it.
-    pub fn execute_select_prepared(
         &self,
         sel: &ast::SelectStmt,
         guard: &QueryGuard,

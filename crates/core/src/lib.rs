@@ -16,11 +16,11 @@
 //! * [`analyze`] — static query analysis (§III-A): one pass over the AST,
 //!   pure catalog checks, no data access; in collecting mode it also runs
 //!   the [`lint`] rules on each statement.
-//! * [`analysis`] — the AST-level analyses it and the executor share:
-//!   typed dataflow over per-binding domains (the predicate analyzer),
-//!   semantics-preserving rewrites (constant folding, dead-branch
-//!   elimination, composition flattening) and statistics-backed
-//!   cardinality estimation.
+//! * [`analysis`] — the AST-level analyses it and `explain` share: typed
+//!   dataflow over per-binding domains (the predicate analyzer) and
+//!   statistics-backed cardinality estimation. They report; they never
+//!   change a statement, so the statement that was checked is the one
+//!   that runs.
 //! * [`ir`] — the "high-level binary intermediate representation" a script
 //!   compiles into before moving to the backend.
 //! * [`ddl`] — executable semantics of vertex/edge creation (Eq. 1–2),

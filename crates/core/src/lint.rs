@@ -173,7 +173,8 @@ impl<'s> Rules<'s> {
     // -----------------------------------------------------------------------
 
     /// Every `def X:` / `foreach x:` label should be referenced somewhere
-    /// ([`SelectStmt::for_each_label_ref`], the rewriter's notion of a use).
+    /// ([`SelectStmt::for_each_label_ref`]: a step name, a condition
+    /// qualifier, or any part of a projected, grouping or ordering column).
     fn lint_labels(&mut self, sel: &SelectStmt, comp: &ast::PathComposition) {
         comp.for_each_step(&mut |step, _| {
             let Some(l) = step.label_def() else { return };

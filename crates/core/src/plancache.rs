@@ -1,12 +1,11 @@
 //! Compiled-plan cache for the serve path (ROADMAP item 4).
 //!
-//! Every remote request used to pay the full front half of the pipeline —
-//! IR decode, static analysis, rewrite passes — even when the same query
-//! text arrives thousands of times per second against an unchanged
-//! database. This cache memoizes the expensive middle: an
-//! analysis-validated script whose select statements already have their
-//! semantics-preserving rewrites applied, ready to hand straight to the
-//! executor via [`crate::Database::execute_select_prepared`].
+//! Every remote request pays the front half of the pipeline — IR decode
+//! and static analysis — even when the same query text arrives thousands
+//! of times per second against an unchanged database. This cache
+//! memoizes the analysis: a hit means the script's statements were
+//! already validated against this epoch, so they go straight to the
+//! executor via [`crate::Database::execute_select_observed`].
 //!
 //! ## Keying and MVCC correctness
 //!
@@ -45,9 +44,7 @@ pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 1024;
 
 #[derive(Debug)]
 struct Entry {
-    /// The script's statements with analysis validated and select
-    /// rewrites pre-applied (profiles are stored verbatim — the profile
-    /// path re-renders its own plan and must measure the rewrite too).
+    /// The script's statements, as written, validated by analysis.
     stmts: Arc<Vec<Stmt>>,
     /// Monotonic touch tick for LRU eviction.
     last_used: u64,

@@ -716,39 +716,22 @@ impl Session {
             let cache = &self.shared.plan_cache;
             // Plan-cache fast path: key by the pinned epoch's own
             // sequence + the script's normalized rendering. A hit skips
-            // static analysis and the rewrite passes; a miss compiles
-            // once (selects stored post-rewrite) and shares the result
-            // with every later request against this epoch.
-            let prepared: Option<Arc<Vec<Stmt>>> = if cache.enabled() {
+            // static analysis; a miss analyzes once and shares the
+            // validated statements with every later request against this
+            // epoch.
+            let cached: Option<Arc<Vec<Stmt>>> = if cache.enabled() {
                 let text = script.to_string();
-                match cache.lookup(db.epoch_seq(), &text) {
-                    Some(stmts) => Some(stmts),
-                    None => {
-                        crate::analyze::analyze_script(db.catalog(), script)?;
-                        let stmts: Vec<Stmt> = script
-                            .statements
-                            .iter()
-                            .map(|s| match s {
-                                Stmt::Select(sel) => match crate::analysis::rewrite_select(sel) {
-                                    Some(r) => Stmt::Select(r.sel),
-                                    None => s.clone(),
-                                },
-                                _ => s.clone(),
-                            })
-                            .collect();
-                        let stmts = Arc::new(stmts);
-                        cache.insert(db.epoch_seq(), text, Arc::clone(&stmts));
-                        Some(stmts)
-                    }
+                let hit = cache.lookup(db.epoch_seq(), &text);
+                if hit.is_none() {
+                    crate::analyze::analyze_script(db.catalog(), script)?;
+                    cache.insert(db.epoch_seq(), text, Arc::new(script.statements.clone()));
                 }
+                hit
             } else {
                 crate::analyze::analyze_script(db.catalog(), script)?;
                 None
             };
-            let run_stmts: &[Stmt] = prepared
-                .as_deref()
-                .map(Vec::as_slice)
-                .unwrap_or(&script.statements);
+            let run_stmts: &[Stmt] = cached.as_deref().unwrap_or(&script.statements);
             run_stmts
                 .iter()
                 .map(|s| {
@@ -759,13 +742,6 @@ impl Session {
                     );
                     guard.check()?;
                     match s {
-                        Stmt::Select(sel) if prepared.is_some() => {
-                            // Rewrites were applied at compile time.
-                            Ok(match db.execute_select_prepared(sel, guard, obs)? {
-                                QueryOutput::Table(t) => StmtOutput::Table(t),
-                                QueryOutput::Subgraph(sg) => StmtOutput::Subgraph(sg),
-                            })
-                        }
                         Stmt::Select(sel) => {
                             Ok(match db.execute_select_observed(sel, guard, obs)? {
                                 QueryOutput::Table(t) => StmtOutput::Table(t),

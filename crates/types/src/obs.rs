@@ -691,9 +691,9 @@ impl WalMetrics {
 /// atomics, so a scrape never contends with the serve path.
 #[derive(Debug, Default)]
 pub struct PlanCacheMetrics {
-    /// Lookups answered from the cache (decode/analyze/rewrite skipped).
+    /// Lookups answered from the cache (analysis skipped).
     pub hits: Counter,
-    /// Lookups that fell through to a cold compile.
+    /// Lookups that fell through to analysis.
     pub misses: Counter,
     /// Entries dropped: LRU capacity evictions, epoch-publish
     /// invalidations and promotion flushes all count here.

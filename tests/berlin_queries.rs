@@ -225,8 +225,9 @@ fn explain_case(out: &mut String, db: &mut Database, label: &str, stmt: &str) {
 /// The `explain` surface of the analysis pipeline, pinned in full: on a
 /// loaded Berlin database both BI queries, Figs. 9-12, a table select
 /// and a bounded repetition render their per-operator cardinality
-/// estimates from the catalog statistics store, and a statement the
-/// rewriter can improve says so. The last case is the traversal of the
+/// estimates from the catalog statistics store, and a statement with a
+/// dead `or`-branch is explained as written, the dead branch as its own
+/// `or-branch` with no candidates. The last case is the traversal of the
 /// `H0203` diagnostic fixture, over that fixture's database.
 #[test]
 fn explain_annotates_berlin_queries_with_estimates() {
@@ -268,7 +269,7 @@ fn explain_annotates_berlin_queries_with_estimates() {
         "select * from graph ProductVtx(id = %Product1%) \
          { --feature--> FeatureVtx() <--feature-- ProductVtx() }{2,8} --type--> TypeVtx()",
     );
-    // A statement with a dead or-branch surfaces the rewrite in explain.
+    // A dead or-branch runs as written: `or-branch 1`, with 0 candidates.
     explain_case(
         &mut out,
         &mut db,

@@ -36,7 +36,7 @@ fn counters(server: &Server) -> (u64, u64, u64) {
 
 /// Cache-on vs cache-off byte-identity over the seeded script corpus.
 /// Every script runs twice per server: the second cached run is the hit
-/// path (decode + analysis + rewrite all skipped) and must render
+/// path (analysis skipped) and must render
 /// byte-identically to its own cold run and to both cache-off runs.
 #[test]
 fn cache_on_vs_cache_off_byte_identical() {

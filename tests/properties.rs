@@ -35,7 +35,9 @@ fn fixture() -> impl Strategy<Value = Fixture> {
     })
 }
 
-fn build_db(f: &Fixture) -> Database {
+/// The A/B schema: tables `A(id, x)`, `B(id, y)`, `AB(a, b)`, vertices
+/// `VA`, `VB` and the edge `ab`, with no rows.
+fn ab_db() -> Database {
     let mut db = Database::new();
     db.execute_script(
         "create table A(id integer, x integer)
@@ -47,6 +49,11 @@ fn build_db(f: &Fixture) -> Database {
              where AB.a = VA.id and AB.b = VB.id",
     )
     .unwrap();
+    db
+}
+
+fn build_db(f: &Fixture) -> Database {
+    let mut db = ab_db();
     let a_csv: String =
         f.xs.iter()
             .enumerate()
@@ -375,18 +382,7 @@ fn rand_script() -> impl Strategy<Value = String> {
 
 /// The A/B schema as a catalog (no data).
 fn ab_catalog() -> graql::core::Catalog {
-    let mut db = Database::new();
-    db.execute_script(
-        "create table A(id integer, x integer)
-         create table B(id integer, y integer)
-         create table AB(a integer, b integer)
-         create vertex VA(id) from table A
-         create vertex VB(id) from table B
-         create edge ab with vertices (VA, VB) from table AB
-             where AB.a = VA.id and AB.b = VB.id",
-    )
-    .unwrap();
-    db.catalog().clone()
+    ab_db().catalog().clone()
 }
 
 proptest! {
@@ -474,16 +470,17 @@ fn check_clean_executes(db: &mut Database, script: &str) -> std::result::Result<
     Ok(())
 }
 
-/// 32 cases, or `PROPTEST_CASES` when set.
-fn soundness_config() -> ProptestConfig {
+/// `cases` cases, or `PROPTEST_CASES` when set (as
+/// `ProptestConfig::default` reads it).
+fn cases_unless_env(cases: u32) -> ProptestConfig {
     match std::env::var_os("PROPTEST_CASES") {
         Some(_) => ProptestConfig::default(),
-        None => ProptestConfig::with_cases(32),
+        None => ProptestConfig::with_cases(cases),
     }
 }
 
 proptest! {
-    #![proptest_config(soundness_config())]
+    #![proptest_config(cases_unless_env(32))]
 
     /// Static analysis is sound for execution over generated graph and
     /// table scripts, and over the parity rows (which `check` rejects).
@@ -495,6 +492,89 @@ proptest! {
         check_clean_executes(&mut soundness_db(), &table)?;
         let row = &parity::PARITY_ROWS[seed as usize % parity::PARITY_ROWS.len()];
         check_clean_executes(&mut soundness_db(), row.0)?;
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Lint verdicts against rows
+// ---------------------------------------------------------------------------
+
+/// A tiny dataset with nulls in both value columns, so the SQL-style
+/// null comparison semantics the constant verdicts rely on are exercised.
+fn nullable_db() -> Database {
+    let mut db = ab_db();
+    db.ingest_str("A", "0,3\n1,7\n2,\n3,0\n4,10\n").unwrap();
+    db.ingest_str("B", "0,5\n1,\n2,2\n").unwrap();
+    db.ingest_str("AB", "0,0\n0,1\n1,2\n2,0\n3,1\n4,2\n")
+        .unwrap();
+    db
+}
+
+/// Random predicate over columns `id` / `x`: comparisons against small
+/// constants (hitting the fold + interval rules), column-column
+/// comparisons (hitting the self-comparison rules), composed with
+/// `and` / `or` / `not`.
+fn pred() -> impl Strategy<Value = String> {
+    let col = prop_oneof![Just("id"), Just("x")];
+    let op = prop_oneof![
+        Just("="),
+        Just("!="),
+        Just("<"),
+        Just("<="),
+        Just(">"),
+        Just(">=")
+    ];
+    let leaf = prop_oneof![
+        (col.clone(), op.clone(), 0i64..12).prop_map(|(c, o, v)| format!("{c} {o} {v}")),
+        (0i64..12, op.clone(), col.clone()).prop_map(|(v, o, c)| format!("{v} {o} {c}")),
+        (col.clone(), op.clone(), col.clone()).prop_map(|(a, o, b)| format!("{a} {o} {b}")),
+        (0i64..12, op.clone(), 0i64..12).prop_map(|(a, o, b)| format!("{a} {o} {b}")),
+    ];
+    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
+        prop_oneof![
+            proptest::collection::vec(inner.clone(), 2..4)
+                .prop_map(|ps| format!("({})", ps.join(" and "))),
+            proptest::collection::vec(inner.clone(), 2..4)
+                .prop_map(|ps| format!("({})", ps.join(" or "))),
+            inner.prop_map(|p| format!("not ({p})")),
+        ]
+    })
+}
+
+/// The codes `check` reports for `stmt`, and the statement's output.
+fn checked_run(db: &mut Database, stmt: &str) -> (Vec<&'static str>, StmtOutput) {
+    let codes = db.check_script_str(stmt).iter().map(|d| d.code).collect();
+    (codes, db.execute_str(stmt).unwrap())
+}
+
+proptest! {
+    #![proptest_config(cases_unless_env(48))]
+
+    /// The verdicts behind W0208 (always true) and W0206 (dead branch)
+    /// hold on real rows, nulls included: a `where` clause W0208 flags
+    /// keeps every row, a step condition W0206 flags leaves the pattern
+    /// empty, and a step condition W0208 flags matches what the step
+    /// without it matches.
+    #[test]
+    fn lint_verdicts_hold_on_rows(p in pred()) {
+        let mut db = nullable_db();
+        let (codes, filtered) =
+            checked_run(&mut db, &format!("select id, x from table A where {p} order by id"));
+        if codes.contains(&"W0208") {
+            let all = db.execute_str("select id, x from table A order by id").unwrap();
+            prop_assert_eq!(format!("{filtered:?}"), format!("{all:?}"), "where {}", p);
+        }
+        let (codes, out) = checked_run(&mut db, &format!("select * from graph VA({p}) --ab--> VB()"));
+        let StmtOutput::Subgraph(sg) = &out else {
+            panic!("a star graph select yields a subgraph")
+        };
+        if codes.contains(&"W0206") {
+            prop_assert!(sg.is_empty(), "VA({}) matched {:?}", p, sg);
+        }
+        if codes.contains(&"W0208") {
+            let all = db.execute_str("select * from graph VA() --ab--> VB()").unwrap();
+            prop_assert_eq!(format!("{out:?}"), format!("{all:?}"), "VA({})", p);
+        }
     }
 }
 
