@@ -68,9 +68,14 @@ fn cmp_selectivity(op: CmpOp, ndv: Option<u64>) -> f64 {
 }
 
 /// Selectivity of a condition against rows of one relation whose
-/// statistics (if any) are `card`. An attribute compared with a literal
-/// or a `%param%` uses the column's NDV; any other comparison keeps half.
+/// statistics (if any) are `card`. A condition with a constant verdict
+/// ([`super::dataflow`]'s: `1 > 2`, `x < x`, `x > 5 and x < 3`) keeps no
+/// row or every row. Otherwise an attribute compared with a literal or a
+/// `%param%` uses the column's NDV, and any other comparison keeps half.
 pub fn expr_selectivity(card: Option<&TableCard>, e: &Expr) -> f64 {
+    if let Some(passes) = super::dataflow::verdict(e) {
+        return if passes { 1.0 } else { 0.0 };
+    }
     match e {
         Expr::And(parts) => clamp01(parts.iter().map(|p| expr_selectivity(card, p)).product()),
         Expr::Or(parts) => clamp01(

@@ -265,7 +265,7 @@ enum Folded<'e> {
 
 /// The constant verdict of a condition: `Some(true)` when it passes
 /// every row, `Some(false)` when it passes none.
-fn verdict(e: &Expr) -> Option<bool> {
+pub(crate) fn verdict(e: &Expr) -> Option<bool> {
     match fold(e) {
         Folded::Const(v) => Some(v),
         Folded::Open { .. } => None,

@@ -59,16 +59,15 @@ pub fn execute_table_select(ctx: &ExecCtx<'_>, plan: &TableSelect) -> Result<Tab
         out = ops::distinct(&out, &cx)?;
     }
 
-    // 4. Order by (over the *output* columns, so aliases work — Fig. 6's
-    //    `order by groupCount desc`).
-    if !plan.order_by.is_empty() {
-        out = ops::sort(&out, &plan.order_by, &cx)?;
-    }
-
-    // 5. Top n.
-    if let Some(n) = plan.top {
-        out = ops::top_n(&out, n, &cx);
-    }
+    // 4–5. Order by (over the *output* columns, so aliases work — Fig. 6's
+    //    `order by groupCount desc`) and top n: with both, only the rows
+    //    kept are sorted.
+    out = match (plan.order_by.is_empty(), plan.top) {
+        (false, Some(n)) => ops::sort_top(&out, &plan.order_by, n, &cx)?,
+        (false, None) => ops::sort(&out, &plan.order_by, &cx)?,
+        (true, Some(n)) => ops::top_n(&out, n, &cx),
+        (true, None) => out,
+    };
     ctx.guard.add_rows(out.n_rows() as u64)?;
     Ok(out)
 }

@@ -29,7 +29,9 @@ use crate::bitset::BitSet;
 /// Strings are distinct as long as they arrive through
 /// [`StrDict::intern`]. [`StrDict::extend_unindexed`] trusts its caller
 /// instead of hashing; after it, equal strings may hold several codes
-/// (comparisons by string stay right, comparisons by code do not).
+/// (comparisons by string stay right, comparisons by code do not), and
+/// the dictionary records that for its lifetime, so that row keys built
+/// from codes canonicalise them first.
 #[derive(Debug, Clone, Default)]
 pub struct StrDict {
     strings: Vec<Arc<str>>,
@@ -37,6 +39,7 @@ pub struct StrDict {
     /// `extend_unindexed` appended joins it on the next `intern`.
     lookup: FxHashMap<Arc<str>, u32>,
     indexed: usize,
+    may_repeat: bool,
 }
 
 impl StrDict {
@@ -58,10 +61,20 @@ impl StrDict {
     }
 
     /// Appends `entries` under the next codes without hashing them: for
-    /// a caller whose entries are distinct from each other and from the
-    /// dictionary by construction (a peer's dictionary page).
+    /// a caller whose entries are distinct by construction (a peer's
+    /// dictionary page). An entry that repeats a string still gets a code
+    /// of its own.
     pub fn extend_unindexed<'a>(&mut self, entries: impl Iterator<Item = &'a str>) {
+        let len = self.strings.len();
         self.strings.extend(entries.map(Arc::from));
+        self.may_repeat |= self.strings.len() > len;
+    }
+
+    /// True when a string may hold more than one code: entries were
+    /// appended by [`StrDict::extend_unindexed`]. A code is then a key
+    /// only after it is mapped to the first code of its string.
+    pub(crate) fn may_repeat(&self) -> bool {
+        self.may_repeat
     }
 
     pub fn resolve(&self, code: u32) -> &Arc<str> {
@@ -106,6 +119,26 @@ pub(crate) fn remap_codes(
             *slot
         });
     }
+}
+
+/// `codes` as keys: unchanged when `dict` holds each string once, and
+/// otherwise with every code replaced by the first code its string has
+/// among these rows, decided once per distinct code. Null rows keep
+/// code 0.
+pub(crate) fn canonical_codes<'a>(
+    dict: &StrDict,
+    codes: &'a [u32],
+    nulls: &BitSet,
+) -> std::borrow::Cow<'a, [u32]> {
+    if !dict.may_repeat() {
+        return codes.into();
+    }
+    let (mut first, mut remap) = (FxHashMap::default(), vec![UNSEEN; dict.len()]);
+    let mut out = Vec::new();
+    remap_codes(codes, nulls, 0..codes.len(), &mut remap, &mut out, |c| {
+        *first.entry(&**dict.resolve(c)).or_insert(c)
+    });
+    out.into()
 }
 
 /// A typed column of values with a null mask.
@@ -319,7 +352,7 @@ impl Column {
     }
 
     /// The column's null mask.
-    fn nulls(&self) -> &BitSet {
+    pub(crate) fn nulls(&self) -> &BitSet {
         match self {
             Column::Int { nulls, .. }
             | Column::Float { nulls, .. }
@@ -597,6 +630,19 @@ mod tests {
         let all: Vec<Value> = (0..base.len()).map(|i| base.get(i)).collect();
         let want = ["a", "b", "c", "new", "a", "newer"].map(Value::str);
         assert_eq!(all, want);
+    }
+
+    #[test]
+    fn canonical_codes_merge_an_entry_sent_twice() {
+        let mut dict = StrDict::default();
+        dict.intern("a");
+        assert!(!dict.may_repeat());
+        dict.extend_unindexed(["b", "a", "b"].into_iter());
+        assert!(dict.may_repeat());
+        let codes = [3, 1, 2, 0, 0];
+        let nulls = BitSet::from_indices(5, [4]);
+        let canon = canonical_codes(&dict, &codes, &nulls);
+        assert_eq!(*canon, [3, 3, 2, 2, 0], "first code per string, null 0");
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! `distinct`: duplicate elimination, keeping first occurrences.
 
 use graql_types::obs::{obs_record_rows, obs_start, Stage};
-use graql_types::{Result, Value};
-use rustc_hash::FxHashSet;
+use graql_types::Result;
 
+use super::key::group_ids;
 use super::OpCtx;
 use crate::table::Table;
 
@@ -19,19 +19,10 @@ pub fn distinct_indices(t: &Table, cols: &[usize], cx: &OpCtx) -> Result<Vec<u32
     } else {
         cols
     };
-    let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
-    let mut out = Vec::new();
-    let mut tick = cx.guard.ticker();
-    for i in 0..t.n_rows() {
-        tick.tick()?;
-        let key: Vec<Value> = cols.iter().map(|&c| t.get(i, c)).collect();
-        if seen.insert(key) {
-            out.push(i as u32);
-        }
-    }
-    let set_bytes = 16 * cols.len() as u64 * seen.len() as u64;
-    cx.guard.add_bytes(set_bytes)?;
-    Ok(out)
+    let (_, reps) = group_ids(t, cols, cx)?;
+    cx.guard
+        .add_bytes(16 * cols.len() as u64 * reps.len() as u64)?;
+    Ok(reps)
 }
 
 /// Materialized `select distinct` over all columns; the output is
@@ -49,7 +40,7 @@ pub fn distinct(t: &Table, cx: &OpCtx) -> Result<Table> {
 mod tests {
     use super::*;
     use crate::schema::TableSchema;
-    use graql_types::DataType;
+    use graql_types::{DataType, Value};
 
     fn t() -> Table {
         let schema = TableSchema::of(&[("a", DataType::Integer), ("b", DataType::Integer)]);
@@ -63,6 +54,15 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn distinct_is_governed() {
+        let t = crate::ops::governed::table();
+        // The dedup set, 16 bytes per key cell, then the output's 16 per
+        // cell: 700 distinct pairs.
+        let charge = 16 * 2 * 700 + 16 * 700 * 2;
+        crate::ops::governed::check(charge, |cx| distinct(&t, cx));
     }
 
     #[test]

@@ -1,10 +1,14 @@
 //! `group by` with the Table-1 aggregates: count, sum, avg, min, max.
 
+use std::cmp::Ordering::{Greater, Less};
+
 use graql_types::obs::{obs_record_rows, obs_start, Stage};
 use graql_types::{DataType, GraqlError, Result, Value};
-use rustc_hash::FxHashMap;
 
+use super::key::{cmp_rows, group_ids};
 use super::OpCtx;
+use crate::bitset::BitSet;
+use crate::column::Column;
 use crate::schema::{ColumnDef, TableSchema};
 use crate::table::Table;
 
@@ -38,26 +42,18 @@ impl AggSpec {
 
     /// Result type of the aggregate given the input table.
     fn out_type(&self, t: &Table) -> Result<DataType> {
-        let numeric_input = |c: usize| -> Result<DataType> {
-            let dt = t.schema().column(c).dtype;
-            if dt.is_numeric() {
-                Ok(dt)
-            } else {
+        let def = |c: usize| t.schema().column(c);
+        match self.func {
+            AggFn::CountStar | AggFn::Count(_) => Ok(DataType::Integer),
+            AggFn::Sum(c) | AggFn::Avg(c) if !def(c).dtype.is_numeric() => {
                 Err(GraqlError::type_error(format!(
                     "aggregate over non-numeric column {:?}",
-                    t.schema().column(c).name
+                    def(c).name
                 )))
             }
-        };
-        Ok(match self.func {
-            AggFn::CountStar | AggFn::Count(_) => DataType::Integer,
-            AggFn::Sum(c) => numeric_input(c)?,
-            AggFn::Avg(c) => {
-                numeric_input(c)?;
-                DataType::Float
-            }
-            AggFn::Min(c) | AggFn::Max(c) => t.schema().column(c).dtype,
-        })
+            AggFn::Avg(_) => Ok(DataType::Float),
+            AggFn::Sum(c) | AggFn::Min(c) | AggFn::Max(c) => Ok(def(c).dtype),
+        }
     }
 }
 
@@ -73,21 +69,10 @@ pub fn group_indices(
     group_cols: &[usize],
     cx: &OpCtx,
 ) -> Result<(Vec<u32>, Vec<Vec<u32>>)> {
-    let mut map: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
-    let mut reps: Vec<u32> = Vec::new();
-    let mut groups: Vec<Vec<u32>> = Vec::new();
-    let mut tick = cx.guard.ticker();
-    for i in 0..t.n_rows() {
-        tick.tick()?;
-        let key: Vec<Value> = group_cols.iter().map(|&c| t.get(i, c)).collect();
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => groups[*e.get()].push(i as u32),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(groups.len());
-                reps.push(i as u32);
-                groups.push(vec![i as u32]);
-            }
-        }
+    let (ids, reps) = group_ids(t, group_cols, cx)?;
+    let mut groups = vec![Vec::new(); reps.len()];
+    for (r, &g) in ids.iter().enumerate() {
+        groups[g as usize].push(r as u32);
     }
     cx.guard
         .add_bytes(4 * (t.n_rows() as u64 + reps.len() as u64))?;
@@ -98,8 +83,12 @@ pub fn group_indices(
 ///
 /// With `group_cols` empty this is a global aggregate producing one row
 /// (or one row over zero input rows, with SQL semantics: count = 0, other
-/// aggregates null). The guard is checked cooperatively per group and
-/// the output table is charged against the memory budget.
+/// aggregates null). Each row gets a group id and is folded into one
+/// typed state vector per aggregate, in row order; the key columns are
+/// gathered at the groups' first rows, sharing `t`'s dictionaries. The
+/// guard is checked cooperatively per input row and once per aggregate,
+/// and the grouping index and the output table are charged against the
+/// memory budget.
 pub fn group_aggregate(
     t: &Table,
     group_cols: &[usize],
@@ -115,108 +104,110 @@ pub fn group_aggregate(
         defs.push(ColumnDef::new(a.out_name.clone(), a.out_type(t)?));
     }
     let schema = TableSchema::new(defs)?;
-    let mut out = Table::empty(schema);
 
-    let groups: Vec<Vec<u32>> = if group_cols.is_empty() {
-        vec![(0..t.n_rows() as u32).collect()]
-    } else {
-        group_indices(t, group_cols, cx)?.1
-    };
-
-    let mut tick = cx.guard.ticker();
-    let mut rows = out.appender();
-    for members in &groups {
-        tick.tick()?;
-        let rep = members.first().copied();
-        let mut row: Vec<Value> = group_cols
-            .iter()
-            .map(|&c| rep.map_or(Value::Null, |r| t.get(r as usize, c)))
-            .collect();
-        for a in aggs {
-            row.push(eval_agg(t, a.func, members));
-        }
-        rows.push_row(&row)?;
+    let (ids, reps) = group_ids(t, group_cols, cx)?;
+    if !group_cols.is_empty() {
+        cx.guard
+            .add_bytes(4 * (t.n_rows() as u64 + reps.len() as u64))?;
     }
-    drop(rows);
+    // A global aggregate has its one group also over zero rows.
+    let n_groups = reps.len().max(usize::from(group_cols.is_empty()));
+    let mut columns: Vec<Column> = group_cols
+        .iter()
+        .map(|&c| t.column(c).gather(&reps))
+        .collect();
+    for a in aggs {
+        cx.guard.check()?;
+        columns.push(fold(t, a.func, &ids, &reps, n_groups));
+    }
+    let out = Table::from_columns(schema, columns);
     cx.guard.add_bytes(out.approx_bytes())?;
     let (n_in, n_out) = (t.n_rows() as u64, out.n_rows() as u64);
     obs_record_rows(cx.obs, Stage::Aggregate, span, n_in, n_out);
     Ok(out)
 }
 
-fn eval_agg(t: &Table, f: AggFn, members: &[u32]) -> Value {
-    match f {
-        AggFn::CountStar => Value::Int(members.len() as i64),
-        AggFn::Count(c) => Value::Int(
-            members
+/// One aggregate's output column: group `ids[r]` folds row `r` of `t`,
+/// rows in ascending order.
+fn fold(t: &Table, f: AggFn, ids: &[u32], reps: &[u32], n_groups: usize) -> Column {
+    let col = match f {
+        AggFn::CountStar => None,
+        AggFn::Count(c) | AggFn::Sum(c) | AggFn::Avg(c) | AggFn::Min(c) | AggFn::Max(c) => {
+            Some(t.column(c))
+        }
+    };
+    let none = BitSet::new(ids.len());
+    let absent = col.map_or(&none, |c| c.nulls());
+    let n = per_group(ids, absent, vec![0; n_groups], |k, _| k + 1);
+    let empty = BitSet::from_indices(n_groups, (0..n_groups).filter(|&g| n[g] == 0));
+    match (f, col) {
+        (AggFn::CountStar | AggFn::Count(_), _) => Column::Int {
+            data: n,
+            nulls: BitSet::new(n_groups),
+        },
+        // Integer sums accumulate in i64 (an f64 detour would lose
+        // precision beyond 2^53).
+        (AggFn::Sum(_), Some(Column::Int { data, .. })) => Column::Int {
+            data: per_group(ids, absent, vec![0; n_groups], |s: i64, r| {
+                s.wrapping_add(data[r])
+            }),
+            nulls: empty,
+        },
+        (AggFn::Sum(_) | AggFn::Avg(_), Some(col)) => {
+            let zeros = vec![0.0; n_groups];
+            let sums = match col {
+                Column::Int { data, .. } => {
+                    per_group(ids, absent, zeros, |s, r| s + data[r] as f64)
+                }
+                Column::Float { data, .. } => per_group(ids, absent, zeros, |s, r| s + data[r]),
+                _ => unreachable!("out_type admits numeric columns only"),
+            };
+            let avg = matches!(f, AggFn::Avg(_));
+            let data = sums
                 .iter()
-                .filter(|&&i| !t.column(c).is_null(i as usize))
-                .count() as i64,
-        ),
-        AggFn::Sum(c) => {
-            if t.schema().column(c).dtype == DataType::Integer {
-                // Integer sums accumulate in i64 (an f64 detour would lose
-                // precision beyond 2^53).
-                let mut acc: Option<i64> = None;
-                for &i in members {
-                    if let Some(x) = t.get(i as usize, c).as_int() {
-                        acc = Some(acc.unwrap_or(0).wrapping_add(x));
-                    }
-                }
-                acc.map_or(Value::Null, Value::Int)
-            } else {
-                fold_numeric(t, c, members, |acc, x| acc + x).map_or(Value::Null, Value::Float)
-            }
+                .zip(&n)
+                .map(|(&s, &k)| if avg && k > 0 { s / k as f64 } else { s })
+                .collect();
+            Column::Float { data, nulls: empty }
         }
-        AggFn::Avg(c) => {
-            let (mut sum, mut n) = (0.0, 0usize);
-            for &i in members {
-                if let Some(x) = t.get(i as usize, c).as_f64() {
-                    sum += x;
-                    n += 1;
-                }
-            }
-            if n == 0 {
-                Value::Null
-            } else {
-                Value::Float(sum / n as f64)
-            }
+        // Over zero rows the one global group has no row to gather.
+        (_, Some(col)) if reps.len() < n_groups => {
+            let mut out = Column::new(col.dtype());
+            out.push(&Value::Null).expect("a null fits every column");
+            out
         }
-        AggFn::Min(c) => extremum(t, c, members, true),
-        AggFn::Max(c) => extremum(t, c, members, false),
+        // Min and max: each group starts at its first row, which a value
+        // replaces while it is null.
+        (_, Some(col)) => {
+            let want = if let AggFn::Min(_) = f { Less } else { Greater };
+            let best = per_group(ids, absent, reps.to_vec(), |b, r| {
+                let b = b as usize;
+                if col.is_null(b) || cmp_rows(col, r, b) == want {
+                    r as u32
+                } else {
+                    b as u32
+                }
+            });
+            col.gather(&best)
+        }
+        (_, None) => unreachable!("only count(*) reads no column"),
     }
 }
 
-fn fold_numeric(t: &Table, c: usize, members: &[u32], f: impl Fn(f64, f64) -> f64) -> Option<f64> {
-    let mut acc: Option<f64> = None;
-    for &i in members {
-        if let Some(x) = t.get(i as usize, c).as_f64() {
-            acc = Some(f(acc.unwrap_or(0.0), x));
+/// `acc[g]` with `add` folded into it over the rows `ids` assigns group
+/// `g` that are not in `absent`, in row order.
+fn per_group<T: Copy>(
+    ids: &[u32],
+    absent: &BitSet,
+    mut acc: Vec<T>,
+    add: impl Fn(T, usize) -> T,
+) -> Vec<T> {
+    for (r, &g) in ids.iter().enumerate() {
+        if !absent.contains(r) {
+            acc[g as usize] = add(acc[g as usize], r);
         }
     }
     acc
-}
-
-fn extremum(t: &Table, c: usize, members: &[u32], min: bool) -> Value {
-    let mut best: Option<Value> = None;
-    for &i in members {
-        let v = t.get(i as usize, c);
-        if v.is_null() {
-            continue;
-        }
-        best = Some(match best {
-            None => v,
-            Some(b) => {
-                let keep_new = if min { v < b } else { v > b };
-                if keep_new {
-                    v
-                } else {
-                    b
-                }
-            }
-        });
-    }
-    best.unwrap_or(Value::Null)
 }
 
 #[cfg(test)]
@@ -381,6 +372,22 @@ mod tests {
             &OpCtx::default()
         )
         .is_ok());
+    }
+
+    #[test]
+    fn aggregate_is_governed() {
+        let t = crate::ops::governed::table();
+        let aggs = [
+            AggSpec::new(AggFn::CountStar, "n"),
+            AggSpec::new(AggFn::Max(1), "hi"),
+        ];
+        // The grouping index, then 16 bytes per output cell: 100 groups
+        // of three columns.
+        let charge = 4 * (t.n_rows() as u64 + 100) + 16 * 100 * 3;
+        crate::ops::governed::check(charge, |cx| group_aggregate(&t, &[0], &aggs, cx));
+        // A global aggregate checks the guard per aggregate and charges
+        // only its one row.
+        crate::ops::governed::check(16 * 2, |cx| group_aggregate(&t, &[], &aggs, cx));
     }
 
     #[test]

@@ -7,8 +7,17 @@
 //! | order by | [`sort::sort`] |
 //! | group by / count / avg / min / max / sum | [`group::group_aggregate`] |
 //! | distinct | [`distinct::distinct`] |
-//! | top n | [`top_n`] |
+//! | top n | [`top_n`]; after an order by, [`sort::sort_top`] |
 //! | as x | aliasing is handled at the schema level ([`rename`]) |
+//!
+//! Group by, the aggregates, distinct and order by share one row key
+//! (the private `key` module): per key column a fixed-width word — a
+//! string's dictionary code, an integer's or date's value, a float's raw
+//! bits — and a null mask, so no kernel builds a `Value` per row. Keys
+//! over a dictionary that may hold a string twice (a client table built
+//! by [`crate::Table::append_batch`]) use canonical codes. The sort
+//! comparator reads the same typed slices and compares strings by their
+//! dictionary entries.
 //!
 //! Each governed operation has **one** entry point, and it is the code
 //! `graql_core::exec` runs: it takes an [`OpCtx`] (guard, optional span
@@ -25,13 +34,14 @@ pub mod distinct;
 pub mod filter;
 pub mod group;
 pub mod join;
+mod key;
 pub mod sort;
 
 pub use distinct::{distinct, distinct_indices};
 pub use filter::{filter, filter_indices};
 pub use group::{group_aggregate, group_indices, AggFn, AggSpec};
 pub use join::hash_join_pairs;
-pub use sort::{sort, sort_indices, SortKey};
+pub use sort::{sort, sort_indices, sort_top, SortKey};
 
 use graql_types::obs::{obs_record_rows, obs_start, Stage};
 use graql_types::{QueryGuard, QueryProfile, Result};
@@ -103,6 +113,61 @@ pub fn rename(t: &Table, names: &[&str]) -> Result<Table> {
             .map(|i| t.shared_column(i).clone())
             .collect(),
     ))
+}
+
+/// Fixtures for the governance tests of the rewritten kernels.
+#[cfg(test)]
+pub(crate) mod governed {
+    use graql_types::guard::TICK_INTERVAL;
+    use graql_types::{DataType, GraqlError, QueryBudget, QueryGuard, Result, Value};
+
+    use super::OpCtx;
+    use crate::schema::TableSchema;
+    use crate::table::Table;
+
+    /// Three tick intervals of rows over `(s varchar, x integer)`: 100
+    /// strings, 7 integers, 700 distinct pairs.
+    pub(crate) fn table() -> Table {
+        let schema = TableSchema::of(&[("s", DataType::Varchar(8)), ("x", DataType::Integer)]);
+        let rows = (0..3 * TICK_INTERVAL as i64)
+            .map(|i| vec![Value::str(format!("k{}", i % 100)), Value::Int(i % 7)]);
+        Table::from_rows(schema, rows).unwrap()
+    }
+
+    /// `run` under a guard cancelled before it starts fails as cancelled;
+    /// under a byte budget of `charge` it succeeds, and one byte less
+    /// fails as over budget.
+    pub(crate) fn check<T>(charge: u64, run: impl Fn(&OpCtx) -> Result<T>) {
+        let cancelled = QueryGuard::new(QueryBudget::UNLIMITED);
+        cancelled.cancel();
+        let err = run(&under(&cancelled)).err();
+        assert!(
+            matches!(err, Some(GraqlError::Cancelled(_))),
+            "cancelled: {err:?}"
+        );
+        let budget = |bytes| {
+            QueryGuard::new(QueryBudget {
+                max_query_bytes: Some(bytes),
+                ..QueryBudget::UNLIMITED
+            })
+        };
+        assert!(
+            run(&under(&budget(charge))).is_ok(),
+            "within {charge} bytes"
+        );
+        let err = run(&under(&budget(charge - 1))).err();
+        assert!(
+            matches!(err, Some(GraqlError::Budget(_))),
+            "budget: {err:?}"
+        );
+    }
+
+    fn under(guard: &QueryGuard) -> OpCtx<'_> {
+        OpCtx {
+            guard,
+            ..OpCtx::default()
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
-//! `order by`: stable multi-key sort.
+//! `order by`: stable multi-key sort, and `order by … top n`.
 
 use std::cmp::Ordering;
 
 use graql_types::obs::{obs_record_rows, obs_start, Stage};
 use graql_types::Result;
 
+use super::key::cmp_rows;
 use super::OpCtx;
+use crate::column::Column;
 use crate::morsel;
 use crate::table::Table;
 
@@ -28,75 +30,54 @@ impl SortKey {
 /// Inputs below this many rows sort as one inline run.
 const SORT_PAR_MIN: usize = 8192;
 
-/// The sort comparator: `keys` in declared order, ties broken by row
-/// index. The tie-break makes this a *strict total order* on row indices,
-/// which is what lets [`sort_indices`] merge independently sorted runs
-/// into exactly the sequence one serial sort would produce.
-#[inline]
-fn cmp_rows(t: &Table, keys: &[SortKey], a: u32, b: u32) -> Ordering {
-    for k in keys {
-        let col = t.column(k.col);
-        let o = col.get(a as usize).cmp_total(&col.get(b as usize));
-        let o = if k.desc { o.reverse() } else { o };
-        if o != Ordering::Equal {
-            return o;
+/// The sort comparator: `keys` in declared order over their columns'
+/// typed slices, ties broken by row index. The tie-break makes this a
+/// *strict total order* on row indices, which is what lets
+/// [`sort_indices`] merge independently sorted runs into exactly the
+/// sequence one serial sort would produce, and [`sort_top`] select the
+/// first rows of that sequence without sorting the rest.
+fn comparator<'a>(t: &'a Table, keys: &[SortKey]) -> impl Fn(&u32, &u32) -> Ordering + Sync + 'a {
+    let cols: Vec<(&Column, bool)> = keys.iter().map(|k| (t.column(k.col), k.desc)).collect();
+    move |&a, &b| {
+        for &(col, desc) in &cols {
+            let o = cmp_rows(col, a as usize, b as usize);
+            if o != Ordering::Equal {
+                return if desc { o.reverse() } else { o };
+            }
         }
+        a.cmp(&b) // stability
     }
-    a.cmp(&b) // stability
 }
 
 /// Row indices of `t` ordered by `keys` (ties broken by original row index,
 /// making the sort stable and deterministic).
 ///
 /// Run formation is morsel-parallel: each morsel sorts a contiguous run
-/// with `cmp_rows`, then pairwise merges reassemble the single globally
+/// with the comparator, then the standard library's stable sort, which
+/// finds runs already in order, merges the runs into the single globally
 /// sorted index. Below `SORT_PAR_MIN` (or on one thread) that is one run
 /// sorted inline and no merge. A comparator sort cannot yield mid-run, so
-/// the guard is checked per run and per merge round (input size bounds
+/// the guard is checked per run and before the merge (input size bounds
 /// the work between checks), and the index vector is charged to the
 /// memory budget.
 pub fn sort_indices(t: &Table, keys: &[SortKey], cx: &OpCtx) -> Result<Vec<u32>> {
     let n = t.n_rows();
+    let cmp = comparator(t, keys);
     let workers = morsel::scan_workers(cx.threads, n, SORT_PAR_MIN);
     // Two runs per worker so a slow worker's second run can be stolen.
     let n_runs = if workers > 1 { workers * 2 } else { 1 };
-    let mut runs = morsel::run_morsels(cx.guard, n, n.div_ceil(n_runs), workers, |_, range| {
+    let runs = morsel::run_morsels(cx.guard, n, n.div_ceil(n_runs), workers, |_, range| {
         let mut idx: Vec<u32> = (range.start as u32..range.end as u32).collect();
-        idx.sort_unstable_by(|&a, &b| cmp_rows(t, keys, a, b));
+        idx.sort_unstable_by(&cmp);
         Ok(idx)
     })?;
-    while runs.len() > 1 {
-        cx.guard.check()?;
-        let mut merged: Vec<Vec<u32>> = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => merged.push(merge_runs(t, keys, a, b)),
-                None => merged.push(a),
-            }
-        }
-        runs = merged;
+    cx.guard.check()?;
+    let mut idx = runs.concat();
+    if runs.len() > 1 {
+        idx.sort_by(&cmp);
     }
-    let idx = runs.pop().unwrap_or_default();
     cx.guard.add_bytes(4 * idx.len() as u64)?;
     Ok(idx)
-}
-
-fn merge_runs(t: &Table, keys: &[SortKey], a: Vec<u32>, b: Vec<u32>) -> Vec<u32> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if cmp_rows(t, keys, a[i], b[j]) != Ordering::Greater {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 /// Materialized `order by`; the output is charged to the memory budget.
@@ -108,6 +89,32 @@ pub fn sort(t: &Table, keys: &[SortKey], cx: &OpCtx) -> Result<Table> {
     cx.guard.add_bytes(out.approx_bytes())?;
     let n = t.n_rows() as u64;
     obs_record_rows(cx.obs, Stage::Sort, span, n, n);
+    Ok(out)
+}
+
+/// `order by … top n`: the first `n` rows of [`sort`]'s output. Under
+/// the strict comparator those are the `n` smallest rows, so they are
+/// selected in linear time and only they are sorted, on the calling
+/// thread. It records a sort span and a top span as the two operations
+/// would, and charges the memory budget as they would: the index and
+/// the table [`sort`] materializes stand for the rows it skips.
+pub fn sort_top(t: &Table, keys: &[SortKey], n: usize, cx: &OpCtx) -> Result<Table> {
+    let (rows, n) = (t.n_rows(), n.min(t.n_rows()));
+    let span = obs_start(cx.obs);
+    cx.guard.check()?;
+    let cmp = comparator(t, keys);
+    let mut idx: Vec<u32> = (0..rows as u32).collect();
+    if 0 < n && n < rows {
+        idx.select_nth_unstable_by(n - 1, &cmp);
+    }
+    idx.truncate(n);
+    idx.sort_unstable_by(&cmp);
+    cx.guard.add_bytes(4 * rows as u64)?;
+    cx.guard.add_bytes(16 * rows as u64 * t.n_cols() as u64)?;
+    obs_record_rows(cx.obs, Stage::Sort, span, rows as u64, rows as u64);
+    let span = obs_start(cx.obs);
+    let out = t.gather(&idx);
+    obs_record_rows(cx.obs, Stage::Top, span, rows as u64, n as u64);
     Ok(out)
 }
 
@@ -129,6 +136,31 @@ mod tests {
             ],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn sort_and_top_are_governed() {
+        let t = crate::ops::governed::table();
+        let keys = [SortKey::asc(0), SortKey::desc(1)];
+        // The index, then the sorted table's 16 bytes per cell, with or
+        // without a top that keeps 10 rows of it.
+        let n = t.n_rows() as u64;
+        let charge = 4 * n + 16 * n * 2;
+        crate::ops::governed::check(charge, |cx| sort(&t, &keys, cx));
+        crate::ops::governed::check(charge, |cx| sort_top(&t, &keys, 10, cx));
+    }
+
+    #[test]
+    fn top_keeps_the_first_rows_of_the_sort() {
+        let t = crate::ops::governed::table();
+        let keys = [SortKey::desc(1), SortKey::asc(0)];
+        let cx = OpCtx::default();
+        let sorted = sort(&t, &keys, &cx).unwrap();
+        for n in [0, 1, 10, 699, t.n_rows(), t.n_rows() + 1] {
+            let top = sort_top(&t, &keys, n, &cx).unwrap();
+            let head = crate::ops::top_n(&sorted, n, &cx);
+            assert!(top.iter_rows().eq(head.iter_rows()), "top {n}");
+        }
     }
 
     #[test]
