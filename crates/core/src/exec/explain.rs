@@ -1,5 +1,6 @@
 //! Query plan explanation: a textual rendering of the §III-B planning
-//! decisions — per-step candidate counts before and after culling, the
+//! decisions — each conditioned step's candidate access path (key probe
+//! or scan), per-step candidate counts after culling, the
 //! traversal direction of each hop over the bidirectional index, the
 //! chosen enumeration order, and (when catalog statistics are available)
 //! per-operator estimated row counts from [`cost::path_rows`].
@@ -12,7 +13,7 @@ use graql_types::Result;
 use crate::analysis::cost;
 use crate::analyze::resolve::GraphSelect;
 use crate::catalog::{Catalog, CatalogStats};
-use crate::compile::{CLink, CPath};
+use crate::compile::{CLink, CPath, CVStep};
 use crate::exec::cand::cand_count;
 use crate::exec::query::run_query;
 use crate::exec::ExecCtx;
@@ -57,10 +58,11 @@ pub fn explain_graph_select(
                 };
                 let _ = writeln!(
                     out,
-                    "    v{vi} {} :: {{{}}}{} — {} candidates after culling{}",
+                    "    v{vi} {} :: {{{}}}{}{} — {} candidates after culling{}",
                     v.display,
                     types.join(", "),
                     label,
+                    access_note(v),
                     culled,
                     est(pi, vi, "rows")
                 );
@@ -79,6 +81,13 @@ pub fn explain_graph_select(
         }
     }
     Ok(out)
+}
+
+/// How a step with a condition finds its candidates: ` by key probe` or
+/// ` by scan` (the resolver allows conditions on one-type steps only).
+fn access_note(v: &CVStep) -> String {
+    let access = v.domain.iter().find_map(|vt| v.local.get(vt));
+    access.map_or(String::new(), |a| format!(" by {}", a.name()))
 }
 
 fn describe_link(ctx: &ExecCtx<'_>, p: &CPath, li: usize) -> String {

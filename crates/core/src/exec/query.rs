@@ -51,10 +51,13 @@ pub fn run_query(ctx: &ExecCtx<'_>, mut cquery: CQuery, need_bindings: bool) -> 
     let span = obs_start(ctx.obs);
     let mut cands: Vec<Vec<Cand>> = Vec::new();
     let mut efilters: Vec<Vec<FxHashMap<ETypeId, BitSet>>> = Vec::new();
+    let mut tested = 0;
     for p in &cquery.paths {
         let mut pc = Vec::new();
         for v in &p.vsteps {
-            pc.push(local_candidates(ctx, v)?);
+            let (c, t) = local_candidates(ctx, v)?;
+            pc.push(c);
+            tested += t;
         }
         cands.push(pc);
         let mut pe = Vec::new();
@@ -83,7 +86,7 @@ pub fn run_query(ctx: &ExecCtx<'_>, mut cquery: CQuery, need_bindings: bool) -> 
         ctx.obs,
         Stage::Candidates,
         span,
-        0,
+        tested as u64,
         total_count(&cands) as u64,
     );
 

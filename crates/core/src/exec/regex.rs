@@ -82,7 +82,7 @@ impl<'g> Automaton<'g> {
             cands: group
                 .hops
                 .iter()
-                .map(|(_, v)| local_candidates(ctx, v))
+                .map(|(_, v)| Ok(local_candidates(ctx, v)?.0))
                 .collect::<Result<_>>()?,
             filters: group
                 .hops

@@ -774,6 +774,60 @@ fn ingest_regenerates_views() {
     assert_eq!(t.n_rows(), 2, "ingest triggers view regeneration (§II-A2)");
 }
 
+/// Each conditioned step finds its candidates by one access path, which
+/// `explain` names, and `profile`'s candidates stage counts the vertices
+/// it tested: one per key probe, the domain per scan, none without a
+/// condition.
+#[test]
+fn access_paths_are_explained_and_profiled() {
+    let mut db = mini_berlin();
+    db.set_param("Product1", Value::str("p1"));
+    let q2 = "select y.id from graph ProductVtx (id = %Product1%) --feature--> FeatureVtx() \
+              <--feature-- def y: ProductVtx (id != %Product1%)";
+    let plan = db.explain_str(q2).unwrap();
+    assert!(
+        plan.contains("v0 ProductVtx :: {ProductVtx} by key probe — 1 "),
+        "{plan}"
+    );
+    assert!(
+        plan.contains("v1 FeatureVtx :: {FeatureVtx} — 2 "),
+        "{plan}"
+    );
+    assert!(plan.contains("[Set label y] by scan — 2 "), "{plan}");
+    for (cond, path) in [
+        ("id = 'p9'", "key probe"),
+        ("'p1' = id and label != 'Beta'", "key probe"),
+        ("id = 'p1' or id = 'p2'", "scan"),
+        ("not (id != 'p1')", "scan"),
+        ("label = 'Alpha'", "scan"),
+    ] {
+        let plan = db
+            .explain_str(&format!(
+                "select * from graph ProductVtx({cond}) --producer--> ProducerVtx()"
+            ))
+            .unwrap();
+        assert!(
+            plan.contains(&format!("{{ProductVtx}} by {path} —")),
+            "{cond}: {plan}"
+        );
+    }
+    let candidates = |db: &mut Database, stmt: &str| {
+        let StmtOutput::Profile(r) = db.execute_str(&format!("profile {stmt}")).unwrap() else {
+            panic!("profile yields a report")
+        };
+        let line = r
+            .stages
+            .iter()
+            .find(|s| s.stage == graql_types::Stage::Candidates);
+        line.map(|s| (s.rows_in, s.rows_out)).unwrap()
+    };
+    // The point hop: one probe, then p1 and the three producers.
+    let hop = "select * from graph ProductVtx(id = 'p1') --producer--> ProducerVtx()";
+    assert_eq!(candidates(&mut db, hop), (1, 4));
+    // Q2: a probe, no condition on FeatureVtx, then a scan of 4 products.
+    assert_eq!(candidates(&mut db, q2), (1 + 4, 1 + 3 + 3));
+}
+
 #[test]
 fn explain_shows_plan_decisions() {
     let mut db = mini_berlin();

@@ -50,6 +50,7 @@ pub struct VertexSet {
     pub keys: Table,
     pub mapping: Mapping,
     key_index: FxHashMap<Vec<Value>, u32>,
+    identity: bool,
 }
 
 impl VertexSet {
@@ -98,6 +99,9 @@ impl VertexSet {
                     .collect(),
             }
         };
+        // Unfiltered, non-null, unique keys: vertex `i` is source row `i`
+        // (groups are numbered in first-seen row order).
+        let identity = one_to_one && keys.n_rows() == table.n_rows();
         let mut key_index = FxHashMap::default();
         for i in 0..keys.n_rows() {
             key_index.insert(keys.row(i), i as u32);
@@ -109,6 +113,7 @@ impl VertexSet {
             keys,
             mapping,
             key_index,
+            identity,
         })
     }
 
@@ -119,6 +124,12 @@ impl VertexSet {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// True when vertex `i` is row `i` of the source table: every row
+    /// passed the selection and holds a distinct, non-null key.
+    pub fn is_identity(&self) -> bool {
+        self.identity
     }
 
     /// The instance whose key tuple equals `key`.
@@ -183,6 +194,7 @@ mod tests {
         assert_eq!(v.lookup(&[Value::str("m3")]), Some(2));
         assert_eq!(v.key_of(2), vec![Value::str("m3")]);
         assert_eq!(v.attr(&t, 2, 1).unwrap(), Value::str("FR"));
+        assert!(v.is_identity());
     }
 
     #[test]
@@ -193,6 +205,7 @@ mod tests {
         let v = VertexSet::build("ProducerCountry", "Producers", &t, vec![1], None).unwrap();
         assert_eq!(v.len(), 3);
         assert!(!v.mapping.is_one_to_one());
+        assert!(!v.is_identity());
         let Mapping::ManyToOne { groups } = &v.mapping else {
             panic!()
         };
@@ -209,6 +222,7 @@ mod tests {
         let f = PhysExpr::cmp_col_const(1, CmpOp::Ne, Value::str("US"));
         let v = VertexSet::build("NonUs", "Producers", &t, vec![0], Some(&f)).unwrap();
         assert_eq!(v.len(), 2);
+        assert!(!v.is_identity(), "vertex 0 is row 1");
         assert_eq!(v.lookup(&[Value::str("m1")]), None);
         assert_eq!(v.lookup(&[Value::str("m2")]), Some(0));
     }
@@ -252,6 +266,7 @@ mod tests {
         .unwrap();
         let by_id = VertexSet::build("V", "T", &t, vec![0], None).unwrap();
         assert_eq!(by_id.len(), 2, "null id row excluded");
+        assert!(!by_id.is_identity());
         let by_country = VertexSet::build("C", "T", &t, vec![1], None).unwrap();
         assert_eq!(by_country.len(), 2, "null country row excluded");
     }

@@ -77,6 +77,14 @@ impl StrDict {
         self.may_repeat
     }
 
+    /// The code of `s`, found by one lookup, when codes compare like
+    /// strings: no entry arrived by `extend_unindexed`, so every entry is
+    /// indexed and none repeats. `Some(None)`: no entry is `s`. `None`:
+    /// the dictionary cannot tell by code.
+    pub(crate) fn code_of(&self, s: &str) -> Option<Option<u32>> {
+        (!self.may_repeat).then(|| self.lookup.get(s).copied())
+    }
+
     pub fn resolve(&self, code: u32) -> &Arc<str> {
         &self.strings[code as usize]
     }
@@ -461,6 +469,12 @@ impl Column {
                 sweep(nulls, lo, hi, out, |u| keep(op, data[u].cmp(&kd)))
             }
             (Column::Str { dict, codes, .. }, Value::Str(s)) => {
+                // Equality on codes: one dictionary lookup, then one `u32`
+                // compare per row (no row holds `UNSEEN`).
+                if let (CmpOp::Eq | CmpOp::Ne, Some(code)) = (op, dict.code_of(s)) {
+                    let (k, eq) = (code.unwrap_or(UNSEEN), op == CmpOp::Eq);
+                    return sweep(nulls, lo, hi, out, |u| (codes[u] == k) == eq);
+                }
                 let test = |c: u32| keep(op, dict.resolve(c).as_ref().cmp(s.as_ref()));
                 // A shared dictionary can outnumber the rows swept: decide
                 // once per code only when that is the fewer comparisons.
